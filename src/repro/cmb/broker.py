@@ -49,9 +49,12 @@ PLANE_TREE_RANK = "tree_rank"  # rank-addressed over the tree (extension)
 PLANE_IPC = "ipc"
 PLANE_LOCAL = "local"
 
-#: Enum -> wire-kind string, precomputed: ``Enum.value`` is a
-#: DynamicClassAttribute lookup, too slow for the per-message tally.
-_MTYPE_KIND = {t: t.value for t in MessageType}
+#: Message types for the per-message tally's identity tests: hashing
+#: an enum member (a dict lookup keyed by type) runs the Python-level
+#: ``Enum.__hash__``, too slow for every send.
+_RESPONSE = MessageType.RESPONSE
+_REQUEST = MessageType.REQUEST
+_EVENT = MessageType.EVENT
 
 #: Flight-recorder salient-key extractors for event deliveries: which
 #: payload field(s) the post-mortem doctor needs to reconstruct the
@@ -129,8 +132,10 @@ class Broker:
         self.node_id = session.node_of_rank(rank)
         # Live wiring (mutable for self-healing).
         self.parent: Optional[int] = session.parent_map[rank]
-        self.children: list[int] = [
-            r for r, p in session.parent_map.items() if p == rank]
+        # The topology's own child list: the same ranks, in the same
+        # (ascending) order as a scan of ``parent_map``, without the
+        # O(N) scan per broker.
+        self.children: list[int] = session.children_of(rank)
         self.modules: dict[str, CommsModule] = {}
         self._pending: dict[int, _Pending] = {}
         # Idempotent-replay state (tentpole of the chaos work): per
@@ -317,10 +322,15 @@ class Broker:
     # ------------------------------------------------------------------
     def _count(self, plane: str, msg: Message) -> None:
         """Tally one message for the per-module/per-plane breakdown."""
-        if msg.mtype is MessageType.RESPONSE:
+        mtype = msg.mtype
+        if mtype is _RESPONSE:
             kind = "error" if msg.error is not None else "response"
+        elif mtype is _REQUEST:
+            kind = "request"
+        elif mtype is _EVENT:
+            kind = "event"
         else:
-            kind = _MTYPE_KIND[msg.mtype]
+            kind = mtype.value
         counts = self.msg_counts
         st = _split_cache.get(msg.topic) or split_topic(msg.topic)
         key = (st[0], plane, kind)
@@ -333,7 +343,7 @@ class Broker:
         pb = self.plane_bytes
         pb[plane] = pb.get(plane, 0) + size
         self._frec(self.sim.now, "send", plane, msg.topic, peer_rank)
-        self.network.send(self.node_id, self.session.node_of_rank(peer_rank),
+        self.network.send(self.node_id, self.session.node_ids[peer_rank],
                           (plane, msg), size,
                           port=self.session.port_key)
 

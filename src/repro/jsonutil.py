@@ -22,26 +22,36 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from collections import OrderedDict
 from typing import Any
 
 __all__ = ["canonical_dumps", "canonical_size", "sha1_of",
            "digest_and_size", "json_loads", "intern_fragment",
-           "interned_size", "set_interning", "intern_stats",
-           "clear_intern_table"]
+           "interned_size", "release_fragment", "set_interning",
+           "intern_stats", "clear_intern_table"]
+
+
+#: The encoder's own string quoter (the C one when available): the
+#: exact bytes ``json.dumps(..., ensure_ascii=False)`` emits for a
+#: string, quotes included.
+_encode_str = json.encoder.encode_basestring
 
 
 def canonical_dumps(obj: Any) -> bytes:
-    """Encode ``obj`` as canonical JSON bytes (sorted keys, compact)."""
+    """Encode ``obj`` as canonical JSON bytes (sorted keys, compact).
+
+    Single-entry ``{str: str}`` dicts -- every KVS value object
+    ``{"v": s}`` with a string value -- are assembled directly from the
+    quoted key and value, skipping the per-call encoder set-up of
+    :func:`json.dumps`; the bytes are identical.
+    """
+    if type(obj) is dict and len(obj) == 1:
+        (k, v), = obj.items()
+        if type(k) is str and type(v) is str:
+            return ("{" + _encode_str(k) + ":" + _encode_str(v)
+                    + "}").encode("utf-8")
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False).encode("utf-8")
-
-
-#: Strings matching this need no JSON escaping: every byte is emitted
-#: verbatim between the quotes (``ensure_ascii=False``), so the encoded
-#: length is just the UTF-8 length plus the two quotes.
-_PLAIN_STR = re.compile(r'[^"\\\x00-\x1f]*\Z')
 
 #: Memoized encoded string lengths.  Payload vocabularies are small and
 #: endlessly repeated (field names, topics, SHA1 hex ids), so the memo
@@ -54,10 +64,8 @@ _STR_SIZE_CAP = 65536
 def _str_size(s: str) -> int:
     size = _str_sizes.get(s)
     if size is None:
-        if _PLAIN_STR.match(s):
-            size = (len(s) if s.isascii() else len(s.encode("utf-8"))) + 2
-        else:
-            size = len(canonical_dumps(s))
+        enc = _encode_str(s)
+        size = len(enc) if enc.isascii() else len(enc.encode("utf-8"))
         if len(_str_sizes) < _STR_SIZE_CAP:
             _str_sizes[s] = size
     return size
@@ -105,6 +113,14 @@ def interned_size(obj: Any) -> "int | None":
     if ent is not None and ent[0] is obj:
         return ent[1]
     return None
+
+
+def release_fragment(obj: Any) -> None:
+    """Drop ``obj``'s intern entry, if any (its last reader is done:
+    the table's strong reference would only keep it alive)."""
+    ent = _interned.get(id(obj))
+    if ent is not None and ent[0] is obj:
+        del _interned[id(obj)]
 
 
 def set_interning(enabled: bool) -> None:

@@ -67,86 +67,21 @@ def run_kap(config: KapConfig,
     flight-recorder ring plus waiter/pending censuses are dumped to
     that path for ``python -m repro.obs.doctor``.
     """
-    topology = TreeTopology(config.nnodes, arity=config.tree_arity)
-    if config.shards > 1:
-        params = zin_like_params()
-        sim = ShardedSimulation(
-            seed=config.seed, strict=True, nshards=config.shards,
-            lookahead=params.per_message_overhead + params.latency)
-        sim.set_shard_map(
-            shard_map_from_topology(topology, config.shards))
-        cluster = make_cluster(config.nnodes, sim=sim)
-    else:
-        cluster = make_cluster(config.nnodes, seed=config.seed)
-        sim = cluster.sim
-    session = CommsSession(
-        cluster,
-        topology=topology,
-        modules=[ModuleSpec(KvsModule, dedup=config.dedup),
-                 ModuleSpec(BarrierModule)],
-    ).start()
-    if tracing or trace_out:
-        session.enable_tracing()
-    fingerprint = None
-    if sanitize:
-        from ..analysis.sanitizers import replay_fingerprint_hook
-        session.enable_sanitizers()
-        fingerprint = replay_fingerprint_hook(sim, keep_records=False)
-
-    result = KapResult(config)
-    nprocs = config.nprocs
-    setup_done: list[float] = []
-
-    def tester(proc_id: int):
-        rank = proc_rank_node(config, proc_id)
-        handle = session.connect(rank)
-        kvs = KvsClient(handle)
-        is_producer = proc_id < config.producers
-        is_consumer = proc_id < config.consumers
-
-        # -- setup phase: synchronized start ---------------------------
-        yield handle.barrier("kap.setup", nprocs)
-        setup_done.append(sim.now)
-
-        # -- producer phase --------------------------------------------
-        t0 = sim.now
-        if is_producer:
-            for j in range(config.nputs):
-                gid = proc_id * config.nputs + j
-                key = object_key(gid, config.dir_width)
-                value = make_value(gid, config.value_size,
-                                   config.redundant_values)
-                yield kvs.put(key, value)
-            result.producer.add(sim.now - t0)
-
-        # -- synchronization phase --------------------------------------
-        t1 = sim.now
-        if config.sync == "fence":
-            yield kvs.fence("kap.sync", nprocs)
-        else:
-            if is_producer:
-                yield kvs.commit()
-            # Every producer commits exactly once, so the state is
-            # complete at root version >= nproducers.
-            yield kvs.wait_version(config.producers)
-        result.sync.add(sim.now - t1)
-
-        # -- consumer phase ----------------------------------------------
-        if is_consumer:
-            t2 = sim.now
-            for gid in consumer_targets(config, proc_id):
-                key = object_key(gid, config.dir_width)
-                value = yield kvs.get(key)
-                assert len(value) == config.value_size
-            result.consumer.add(sim.now - t2)
-
-    procs = [sim.spawn(tester(i), name=f"kap[{i}]")
-             for i in range(nprocs)]
-    all_done = sim.all_of(procs)
-    # Cyclic GC otherwise dominates large runs (per-event cost grows
-    # with live-store size); reference counting reclaims the hot path's
-    # garbage, so pausing the collector is result-invisible.
+    # Cyclic GC otherwise dominates large runs: building the session
+    # trips full gen-2 scans that free nothing, and during the drain
+    # per-event cost grows with live-store size.  Reference counting
+    # reclaims the hot path's garbage, so pausing the collector from
+    # before set-up until the drain ends is result-invisible; teardown
+    # below runs with it restored.
     with paused_gc():
+        sim, cluster, session, fingerprint = _build(
+            config, tracing=tracing or bool(trace_out), sanitize=sanitize)
+        result = KapResult(config)
+        setup_done: list[float] = []
+        procs = [sim.spawn(_tester(config, session, result, setup_done, i),
+                           name=f"kap[{i}]")
+                 for i in range(config.nprocs)]
+        all_done = sim.all_of(procs)
         sim.run(max_events=max_events)
     if not all_done.triggered:
         if postmortem_out:
@@ -211,3 +146,80 @@ def run_kap(config: KapConfig,
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
     return result
+
+
+def _build(config: KapConfig, *, tracing: bool, sanitize: bool):
+    """The run's ``(sim, cluster, started session, fingerprint hook)``."""
+    topology = TreeTopology(config.nnodes, arity=config.tree_arity)
+    if config.shards > 1:
+        params = zin_like_params()
+        sim = ShardedSimulation(
+            seed=config.seed, strict=True, nshards=config.shards,
+            lookahead=params.per_message_overhead + params.latency)
+        sim.set_shard_map(
+            shard_map_from_topology(topology, config.shards))
+        cluster = make_cluster(config.nnodes, sim=sim)
+    else:
+        cluster = make_cluster(config.nnodes, seed=config.seed)
+        sim = cluster.sim
+    session = CommsSession(
+        cluster,
+        topology=topology,
+        modules=[ModuleSpec(KvsModule, dedup=config.dedup),
+                 ModuleSpec(BarrierModule)],
+    ).start()
+    if tracing:
+        session.enable_tracing()
+    fingerprint = None
+    if sanitize:
+        from ..analysis.sanitizers import replay_fingerprint_hook
+        session.enable_sanitizers()
+        fingerprint = replay_fingerprint_hook(sim, keep_records=False)
+    return sim, cluster, session, fingerprint
+
+
+def _tester(config: KapConfig, session: CommsSession, result: KapResult,
+            setup_done: list, proc_id: int):
+    """One KAP tester process: setup barrier, puts, sync, gets."""
+    sim = session.sim
+    rank = proc_rank_node(config, proc_id)
+    handle = session.connect(rank)
+    kvs = KvsClient(handle)
+    is_producer = proc_id < config.producers
+    is_consumer = proc_id < config.consumers
+
+    # -- setup phase: synchronized start -------------------------------
+    yield handle.barrier("kap.setup", config.nprocs)
+    setup_done.append(sim.now)
+
+    # -- producer phase ------------------------------------------------
+    t0 = sim.now
+    if is_producer:
+        for j in range(config.nputs):
+            gid = proc_id * config.nputs + j
+            key = object_key(gid, config.dir_width)
+            value = make_value(gid, config.value_size,
+                               config.redundant_values)
+            yield kvs.put(key, value)
+        result.producer.add(sim.now - t0)
+
+    # -- synchronization phase ------------------------------------------
+    t1 = sim.now
+    if config.sync == "fence":
+        yield kvs.fence("kap.sync", config.nprocs)
+    else:
+        if is_producer:
+            yield kvs.commit()
+        # Every producer commits exactly once, so the state is
+        # complete at root version >= nproducers.
+        yield kvs.wait_version(config.producers)
+    result.sync.add(sim.now - t1)
+
+    # -- consumer phase --------------------------------------------------
+    if is_consumer:
+        t2 = sim.now
+        for gid in consumer_targets(config, proc_id):
+            key = object_key(gid, config.dir_width)
+            value = yield kvs.get(key)
+            assert len(value) == config.value_size
+        result.consumer.add(sim.now - t2)

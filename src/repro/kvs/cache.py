@@ -75,6 +75,12 @@ class SlaveCache:
         if pin:
             self._pinned.add(sha)
 
+    def insert_many(self, objs: dict[str, dict]) -> None:
+        """Unpinned :meth:`insert` of every entry of ``objs`` (sizes
+        unknown), as bulk dict updates."""
+        self._store.put_many(objs)
+        self._last_used.update(dict.fromkeys(objs, self._now()))
+
     def size_of(self, sha: str) -> Optional[int]:
         """Canonical byte size of a cached object (no touch), or None."""
         return self._store.size_of(sha)

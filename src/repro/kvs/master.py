@@ -107,8 +107,7 @@ class KvsMaster:
     # ------------------------------------------------------------------
     def ingest_objects(self, objs: dict[str, dict]) -> None:
         """Accept content objects flushed from below."""
-        for sha, obj in objs.items():
-            self.store.put_with_sha(sha, obj)
+        self.store.put_many(objs)
 
     def commit(self, ops: list[tuple[str, Optional[str]]]) -> CommitResult:
         """Apply ``(key, val_sha)`` bindings; returns new root + version.

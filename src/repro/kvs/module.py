@@ -68,7 +68,7 @@ from ..cmb.message import (HEADER_BYTES, Message, MessageType,
 from ..cmb.module import CommsModule, request_handler
 from ..obs import DEFAULT_SIZE_LADDER
 from ..jsonutil import (canonical_size, digest_and_size, intern_fragment,
-                        interned_size)
+                        interned_size, release_fragment)
 from .cache import SlaveCache
 from .hashtree import KvsPathError, apply_updates, lookup_ref, split_key
 from .master import CommitRecord, KvsMaster
@@ -119,7 +119,7 @@ class _FenceAgg:
     __slots__ = ("name", "nprocs", "count", "ops", "objs", "held",
                  "total_seen", "timer_armed", "local_count", "local_ops",
                  "local_objs", "created_version", "shares", "completing",
-                 "span", "ops_size")
+                 "span", "ops_size", "objs_size")
 
     def __init__(self, name: str, nprocs: int, created_version: int = 0):
         self.name = name
@@ -132,6 +132,12 @@ class _FenceAgg:
         #: aggregate (outgoing list size = 1 + len(ops) + ops_size).
         self.ops_size = 0
         self.objs: dict[str, dict] = {}
+        #: Running sum of the canonical byte sizes of ``objs``'s
+        #: *entries* (``"<sha>":<obj>``, i.e. ``43 + obj size`` each),
+        #: kept exact by :meth:`KvsModule._fence_add_objs` -- the only
+        #: writer of ``objs`` besides :meth:`take_objs` -- so a flush
+        #: sizes the outgoing dict as ``1 + len(objs) + objs_size``.
+        self.objs_size = 0
         self.held: list[Message] = []       # local client fence requests
         self.total_seen = 0
         self.timer_armed = False
@@ -145,6 +151,12 @@ class _FenceAgg:
         #: upstream flush (and the completing setroot publish) parent
         #: under it, keeping the whole fence inside one span tree.
         self.span = None
+
+    def take_objs(self) -> tuple[dict, int]:
+        """Swap out ``(objs, objs_size)``, leaving both empty."""
+        out = (self.objs, self.objs_size)
+        self.objs, self.objs_size = {}, 0
+        return out
 
 
 class KvsModule(CommsModule):
@@ -1348,6 +1360,13 @@ class KvsModule(CommsModule):
         else:
             self.cache.insert(sha, obj, pin=pin, size=size)
 
+    def _obj_put_many(self, objs: dict) -> None:
+        """Bulk unpinned :meth:`_obj_put` (sizes unknown)."""
+        if self.master is not None:
+            self.master.store.put_many(objs)
+        else:
+            self.cache.insert_many(objs)
+
     def _obj_size(self, sha: str, obj: dict) -> int:
         """Canonical byte size of ``obj``, via the local store's size
         cache when it holds ``sha`` (the common case — every sized
@@ -1360,22 +1379,57 @@ class KvsModule(CommsModule):
             size = canonical_size(obj)
         return size
 
+    def _objs_entries_size(self, objs: dict) -> int:
+        """Sum of the canonical sizes of ``objs``'s entries (a quoted
+        40-hex sha, a colon and the object: ``43 + obj size`` each).
+
+        A flushed fence aggregate is interned with its exact size, so
+        this is one probe at the sending hop and at the receiver; on a
+        miss (eviction, interning off, or a dict nobody interned) it
+        falls back to summing each object's cached size.
+        """
+        n = len(objs)
+        if n == 0:
+            return 0
+        size = interned_size(objs)
+        if size is not None:
+            self._cv_interned.inc((self.name, "sizing"), size)
+            return size - 1 - n
+        return sum(43 + self._obj_size(sha, obj)
+                   for sha, obj in objs.items())
+
     def _payload_size_with_objs(self, payload: dict, objs: dict) -> int:
         """Canonical size of ``payload`` (which maps ``"objs"`` to
         ``objs``) computed *compositionally*: serialize the frame once
-        with the objs dict emptied, then add each object's cached size
-        plus its fixed per-entry framing (a quoted 40-hex sha, a colon,
-        and an inter-entry comma).  Canonical-JSON sizes are additive,
-        so this equals ``canonical_size(payload)`` exactly — asserted
-        by the equivalence tests — while touching each stored object's
-        bytes zero times.
+        with the objs dict emptied, then add the entries' size (see
+        :meth:`_objs_entries_size`) and the inter-entry commas.
+        Canonical-JSON sizes are additive, so this equals
+        ``canonical_size(payload)`` exactly — asserted by the
+        equivalence tests — while touching each stored object's bytes
+        zero times.
         """
         total = canonical_size({**payload, "objs": {}})
-        for sha, obj in objs.items():
-            total += 43 + self._obj_size(sha, obj)
         if objs:
-            total += len(objs) - 1
+            total += self._objs_entries_size(objs) + len(objs) - 1
         return total
+
+    def _fence_add_objs(self, agg: _FenceAgg, objs: dict,
+                        size: Optional[int] = None) -> None:
+        """Union ``objs`` into ``agg.objs`` by SHA1, keeping
+        ``agg.objs_size`` exact.  ``size`` is the entries' size of all
+        of ``objs`` when the caller knows it; an sha already in the
+        aggregate (a redundant value) is subtracted back out."""
+        if not objs:
+            return
+        cur = agg.objs
+        if size is None:
+            size = sum(43 + self._obj_size(sha, obj)
+                       for sha, obj in objs.items() if sha not in cur)
+        elif cur:
+            for sha in cur.keys() & objs.keys():
+                size -= 43 + self._obj_size(sha, cur[sha])
+        cur.update(objs)
+        agg.objs_size += size
 
     def _dirty_for(self, sender: Any) -> _Dirty:
         d = self._dirty.get(sender)
@@ -1721,9 +1775,8 @@ class KvsModule(CommsModule):
             agg.local_ops.extend(d.ops)
             for op in d.ops:
                 agg.ops_size += canonical_size(op)
-            for sha, obj in d.objs.items():
-                agg.objs[sha] = obj
-                agg.local_objs[sha] = obj
+            self._fence_add_objs(agg, d.objs)
+            agg.local_objs.update(d.objs)
         agg.count += 1
         agg.total_seen += 1
         agg.local_count += 1
@@ -1777,11 +1830,17 @@ class KvsModule(CommsModule):
             else:
                 csize = canonical_size(child_ops)
             agg.ops_size += csize - 1 - len(child_ops)
-        for sha, obj in p["objs"].items():
-            agg.objs[sha] = obj      # union by SHA1: redundancy reduces
-            self._obj_put(sha, obj)
-        for sha, obj in resolved.items():
-            agg.objs[sha] = obj
+        child_objs = p["objs"]
+        if child_objs:
+            self._obj_put_many(child_objs)
+            # Union by SHA1 (redundancy reduces), sized with one probe.
+            self._fence_add_objs(agg, child_objs,
+                                 self._objs_entries_size(child_objs))
+        # This hop was the fragments' last reader: release them so the
+        # intern table does not keep every level's aggregates alive.
+        release_fragment(child_ops)
+        release_fragment(child_objs)
+        self._fence_add_objs(agg, resolved)
         self.respond(msg, {})
         self._maybe_flush_fence(agg)
 
@@ -1800,8 +1859,7 @@ class KvsModule(CommsModule):
         agg = self._fence_for(name, p["nprocs"])
         if msg.span is not None:
             agg.span = msg.span
-        for sha, obj in resolved.items():
-            agg.objs[sha] = obj
+        self._fence_add_objs(agg, resolved)
         changed = False
         for origin_s, share in p["shares"].items():
             origin = int(origin_s)
@@ -1811,9 +1869,8 @@ class KvsModule(CommsModule):
             if cur is None or share[0] > cur[0]:
                 agg.shares[origin] = [share[0], list(share[1])]
                 changed = True
-        for sha, obj in p["objs"].items():
-            agg.objs[sha] = obj
-            self._obj_put(sha, obj)
+        self._obj_put_many(p["objs"])
+        self._fence_add_objs(agg, p["objs"])
         self.respond(msg, {})
         if changed:
             self._flush_fence(agg.name)
@@ -1862,7 +1919,7 @@ class KvsModule(CommsModule):
             return
         count, agg.count = agg.count, 0
         ops, agg.ops = agg.ops, []
-        objs, agg.objs = agg.objs, {}
+        objs, objs_size = agg.take_objs()
         ops_size, agg.ops_size = agg.ops_size, 0
         if self.master is not None:
             groups: dict = {}
@@ -1902,6 +1959,10 @@ class KvsModule(CommsModule):
             intern_fragment(ops, total)
             if interned_size(ops) is not None:
                 self._cv_interned.inc((self.name, "sizing"), total)
+        if objs:
+            # The flushed objs dict is frozen too: one probe sizes it
+            # at this hop and at the parent.
+            intern_fragment(objs, 1 + len(objs) + objs_size)
         self._send_objs(f"{self.name}.fencedata", payload, objs,
                         lambda resp: None, span=agg.span)
         # Held client fences answer when the fence's setroot arrives.
@@ -2069,7 +2130,8 @@ class KvsModule(CommsModule):
         for name, agg in list(self._fences.items()):
             agg.count = agg.local_count
             agg.ops = list(agg.local_ops)
-            agg.objs = dict(agg.local_objs)
+            agg.take_objs()
+            self._fence_add_objs(agg, agg.local_objs)
             agg.total_seen = agg.local_count
             agg.ops_size = (canonical_size(agg.ops) - 1 - len(agg.ops)
                             if agg.ops else 0)

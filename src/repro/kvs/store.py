@@ -172,6 +172,17 @@ class ObjectStore:
         if size is not None:
             self._sizes.setdefault(sha, size)
 
+    def put_many(self, objs: dict[str, dict]) -> None:
+        """:meth:`put_with_sha` for every entry of ``objs`` (already
+        hashed upstream, sizes unknown).  Outside a journal this is one
+        C-level ``dict.update``: an sha already stored maps to an equal
+        object, so replacing it is invisible."""
+        if self._journal is not None:
+            for sha, obj in objs.items():
+                self.put_with_sha(sha, obj)
+            return
+        self._objects.update(objs)
+
     def size_of(self, sha: str) -> Optional[int]:
         """Canonical byte size of the stored object, or None if absent.
 

@@ -138,6 +138,16 @@ def test_fingerprint_identical_with_interning_off():
     assert off.events == on.events
     assert off.bytes_sent == on.bytes_sent
     assert off.total_time == on.total_time
+    # Off, every fence hop sizes its objs object by object; on, one
+    # probe of the running size: same bytes per plane and tree level,
+    # same message counts, same simulated maxima.
+    assert off.plane_bytes == on.plane_bytes
+    assert off.level_bytes == on.level_bytes
+    assert off.msg_counts == on.msg_counts
+    assert (off.max_producer_latency, off.max_sync_latency,
+            off.max_consumer_latency) == (on.max_producer_latency,
+                                          on.max_sync_latency,
+                                          on.max_consumer_latency)
 
 
 # -- dedup wire mode ----------------------------------------------------
