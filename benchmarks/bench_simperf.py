@@ -3,33 +3,28 @@
 The reproduction's usefulness at the paper's Section V scales (64-512
 nodes x 16 brokers = 1024-8192 producers) is bounded by simulator
 throughput, not by anything the paper measures.  This bench records
-the perf trajectory in two modes:
+the perf trajectory of the one KVS protocol on two event kernels:
 
-- ``legacy`` — the classic protocol (whole objects on every hop,
-  single-heap kernel): the baseline whose tree-plane bytes explode
-  super-linearly with producer count.
-- ``optimized`` — per-link payload dedup (``dedup=True``: object
-  bodies cross each tree edge once, sha references afterward; misses
-  walk to the master instead of faulting whole directories) on the
-  sharded kernel (``shards=16``: per-subtree sub-kernels under the
-  conservative lookahead barrier).
+- ``default`` — the single-heap kernel (``shards=1``).
+- ``sharded`` — per-subtree sub-kernels under the conservative
+  lookahead barrier (``shards=16``).  Same protocol, so the same
+  events and bytes; only host time may differ.
 
 Each row records the *real* row dimensions (producers, nnodes,
 procs_per_node, value_size), the per-tree-level ``bytes_sent``
-breakdown, and ``interned_bytes_saved`` from the KVS dedup counters.
-``--paper-scale`` extends the optimized sweep to 16384 and 65536
-producers (1024/4096 nodes; the 65k row must finish inside
+breakdown, and ``interned_bytes_saved`` from the KVS interning
+counter.  ``--paper-scale`` extends the sharded sweep to 16384 and
+65536 producers (1024/4096 nodes; the 65k row must finish inside
 ``PAPER_65K_BUDGET_S``).
 
 Timing numbers are machine-dependent, so — unlike the figure tables —
 ``out/simperf.txt``/``out/BENCH_simperf.json`` are gitignored and the
 assertions here are *determinism* gates, not speed gates: same-seed
 runs must reproduce the golden SAN105 replay fingerprints (the
-optimization contract: interning, dedup-off defaults, the merged
-sharded kernel and the inlined run loop must be invisible to the
-default event stream), plus a *flat-scaling* gate in smoke mode
-(optimized events/sec at 4096 producers >= 0.7x the 256-producer
-rate) and wall-clock ceilings.
+optimization contract: interning, the merged sharded kernel and the
+inlined run loop must be invisible to the default event stream), plus
+a *flat-scaling* gate in smoke mode (sharded events/sec at 4096
+producers >= 0.7x the 256-producer rate) and wall-clock ceilings.
 
 Standalone smoke mode for CI (from ``benchmarks/``)::
 
@@ -57,24 +52,24 @@ SWEEP_NODES = (4, 16, 64, 256, 512)
 SMOKE_NODES = (4, 16, 64, 256, 512)
 PAPER_SCALE_NODES = (1024, 4096)
 
-#: Shard count for optimized rows (per-subtree sub-kernels).
-OPT_SHARDS = 16
+#: Shard count for sharded rows (per-subtree sub-kernels).
+SHARDS = 16
 
-#: CI ceiling for the 8192-producer (512 x 16) run.  Measured ~4 s
-#: legacy / ~6 s optimized on a development box; the ceiling leaves
-#: >10x headroom for slow runners.
+#: CI ceiling for the 8192-producer (512 x 16) run.  Measured ~2 s in
+#: either mode on a 2-core development box; the ceiling leaves >10x
+#: headroom for slow runners.
 PAPER_SCALE_BUDGET_S = 100.0
 
 #: Ceiling for the 65536-producer (4096 x 16) --paper-scale run
-#: (measured ~100 s on a development box; "single-digit minutes").
+#: (sharded, measured ~13 s once on a 2-core development box).
 PAPER_65K_BUDGET_S = 600.0
 
-#: Smoke-mode flat-scaling gate: optimized events/sec at 4096
-#: producers must stay within this fraction of the 256-producer rate.
+#: Smoke-mode flat-scaling gate: sharded events/sec at 4096 producers
+#: must stay within this fraction of the 256-producer rate.
 FLAT_SCALING_MIN_RATIO = 0.7
 
-#: Golden SAN105 replay fingerprints for the default (single-shard,
-#: dedup-off) mode.  Any change to these is an event-stream change and
+#: Golden SAN105 replay fingerprints for the default (single-shard)
+#: mode.  Any change to these is an event-stream change and
 #: must be deliberate.
 GOLDEN_KAP_256 = "52654cf1c7ec6e222120c2123f5d6763dbdc9834"
 GOLDEN_CHAOS_15 = "aab95fab6805f380726e1e083f4889f731cb2654"
@@ -92,12 +87,9 @@ def paper_config(nnodes: int, seed: int = 1, **kw) -> KapConfig:
                      seed=seed, **kw)
 
 
-def time_kap(nnodes: int, mode: str = "legacy") -> dict:
+def time_kap(nnodes: int, mode: str = "default") -> dict:
     """One timed paper-default run; returns the table row."""
-    if mode == "optimized":
-        cfg = paper_config(nnodes, dedup=True, shards=OPT_SHARDS)
-    else:
-        cfg = paper_config(nnodes)
+    cfg = paper_config(nnodes, shards=SHARDS if mode == "sharded" else 1)
     # Wall-clock on purpose: this benchmark measures the *host's*
     # simulator throughput (events/sec of real time), not simulated
     # time — the one place wall time is the measurand.
@@ -142,9 +134,8 @@ def fingerprint_gate() -> dict:
 
     These license every optimization in this bench: the default mode
     must reproduce the *golden* fingerprints exactly (interning and
-    the dedup/shard machinery are invisible when off), the sharded
-    kernel in merged mode must produce the identical event stream,
-    and dedup mode must be same-seed deterministic.
+    the shard machinery are invisible when off), and the sharded
+    kernel in merged mode must produce the identical event stream.
     """
     cfg = dict(nnodes=16, procs_per_node=16, value_size=64, seed=1)
     a = run_kap(KapConfig(**cfg), sanitize=True)
@@ -160,13 +151,6 @@ def fingerprint_gate() -> dict:
     sh = run_kap(KapConfig(**cfg, shards=4), sanitize=True)
     assert sh.event_fingerprint == GOLDEN_KAP_256, \
         "sharded (merged) fingerprint diverged from single-shard"
-    # Dedup mode changes the wire protocol (different stream, by
-    # design) but must be same-seed deterministic.
-    da = run_kap(KapConfig(**cfg, dedup=True), sanitize=True)
-    db = run_kap(KapConfig(**cfg, dedup=True), sanitize=True)
-    assert da.event_fingerprint == db.event_fingerprint, \
-        "same-seed dedup replay fingerprint diverged"
-    assert not da.sanitizer_findings
     ca = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
                             n_iters=1, sanitize=True)
     cb = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
@@ -176,7 +160,6 @@ def fingerprint_gate() -> dict:
     assert ca.event_fingerprint == GOLDEN_CHAOS_15, \
         f"default-mode chaos fingerprint {ca.event_fingerprint} != golden"
     return {"kap_256": a.event_fingerprint,
-            "kap_256_dedup": da.event_fingerprint,
             "chaos_15": ca.event_fingerprint}
 
 
@@ -185,10 +168,10 @@ def collect(nodes=SWEEP_NODES, paper_scale=False) -> dict:
     # Warm the interpreter/allocator so the smallest row isn't timing
     # first-touch effects.
     run_kap(paper_config(4))
-    rows = [time_kap(nn, "legacy") for nn in nodes]
-    rows += [time_kap(nn, "optimized") for nn in nodes]
+    rows = [time_kap(nn, "default") for nn in nodes]
+    rows += [time_kap(nn, "sharded") for nn in nodes]
     if paper_scale:
-        rows += [time_kap(nn, "optimized") for nn in PAPER_SCALE_NODES]
+        rows += [time_kap(nn, "sharded") for nn in PAPER_SCALE_NODES]
     return {
         "kap": rows,
         "chaos": time_chaos(),
@@ -203,6 +186,10 @@ def simperf_meta(nodes, paper_scale=False) -> dict:
         list(PAPER_SCALE_NODES) if paper_scale else [])
     return {"node_counts": node_counts, "procs_per_node": 16,
             "value_sizes": [64], "paper_scale": bool(paper_scale)}
+
+
+#: Row modes, in table order.
+MODES = ("default", "sharded")
 
 
 def _rows(doc, mode):
@@ -221,7 +208,7 @@ def render(doc: dict) -> str:
                      f"{r['events_per_sec']:>10.0f} "
                      f"{r['bytes_sent']:>13} "
                      f"{r['interned_bytes_saved']:>14}")
-    for mode in ("legacy", "optimized"):
+    for mode in MODES:
         rows = _rows(doc, mode)
         if not rows:
             continue
@@ -274,11 +261,11 @@ def simperf_doc():
 
 
 def test_simperf_table_regenerated(simperf_doc):
-    legacy, opt = (_rows(simperf_doc, m) for m in ("legacy", "optimized"))
-    assert len(legacy) == len(SWEEP_NODES)
-    assert len(opt) == len(SWEEP_NODES)
-    assert legacy[0]["producers"] == 64
-    assert legacy[-1]["producers"] == 8192
+    default, sharded = (_rows(simperf_doc, m) for m in MODES)
+    assert len(default) == len(SWEEP_NODES)
+    assert len(sharded) == len(SWEEP_NODES)
+    assert default[0]["producers"] == 64
+    assert default[-1]["producers"] == 8192
     for row in simperf_doc["kap"]:
         # Meta-drift guard: every row records its real dimensions.
         assert row["procs_per_node"] == 16
@@ -288,23 +275,10 @@ def test_simperf_table_regenerated(simperf_doc):
 
 def test_simperf_paper_scale_within_budget(simperf_doc):
     """The 8192-producer (512 x 16) runs fit the CI smoke budget."""
-    for mode in ("legacy", "optimized"):
+    for mode in MODES:
         big = max(_rows(simperf_doc, mode), key=lambda r: r["producers"])
         assert big["wall_s"] < PAPER_SCALE_BUDGET_S, \
             f"8192-producer {mode} run took {big['wall_s']}s"
-
-
-def test_simperf_dedup_byte_reduction(simperf_doc):
-    """Dedup cuts tree-plane bytes >= 5x at 8192 producers."""
-    legacy = max(_rows(simperf_doc, "legacy"),
-                 key=lambda r: r["producers"])
-    opt = max(_rows(simperf_doc, "optimized"),
-              key=lambda r: r["producers"])
-    assert opt["bytes_sent"] * 5 <= legacy["bytes_sent"], \
-        (opt["bytes_sent"], legacy["bytes_sent"])
-    # The dedup counters account for (far) more avoided bytes than the
-    # optimized run actually sent.
-    assert opt["interned_bytes_saved"] > opt["bytes_sent"]
 
 
 def test_simperf_chaos_converged(simperf_doc):
@@ -314,7 +288,7 @@ def test_simperf_chaos_converged(simperf_doc):
 def test_simperf_deterministic_events(simperf_doc):
     """Event counts (unlike wall-clock) are seed-determined; a second
     run of one sweep point must reproduce them exactly."""
-    for mode in ("legacy", "optimized"):
+    for mode in MODES:
         again = time_kap(16, mode)
         row = next(r for r in _rows(simperf_doc, mode)
                    if r["nnodes"] == 16)
@@ -329,7 +303,7 @@ def main(argv=None) -> int:
     ap.add_argument("--smoke", action="store_true",
                     help="CI sweep with the flat-scaling gate")
     ap.add_argument("--paper-scale", action="store_true",
-                    help="extend the optimized sweep to 16384 and "
+                    help="extend the sharded sweep to 16384 and "
                          "65536 producers (1024/4096 nodes)")
     args = ap.parse_args(argv)
     nodes = SMOKE_NODES if args.smoke else SWEEP_NODES
@@ -338,25 +312,26 @@ def main(argv=None) -> int:
                 meta=simperf_meta(nodes, args.paper_scale))
     write_level_breakdown(doc)
     failures = []
-    legacy_big = max(_rows(doc, "legacy"), key=lambda r: r["producers"])
-    if (legacy_big["producers"] >= 8192
-            and legacy_big["wall_s"] >= PAPER_SCALE_BUDGET_S):
-        failures.append(f"8192-producer legacy run took "
-                        f"{legacy_big['wall_s']}s "
+    default_big = max(_rows(doc, "default"),
+                      key=lambda r: r["producers"])
+    if (default_big["producers"] >= 8192
+            and default_big["wall_s"] >= PAPER_SCALE_BUDGET_S):
+        failures.append(f"8192-producer default run took "
+                        f"{default_big['wall_s']}s "
                         f"(budget {PAPER_SCALE_BUDGET_S}s)")
-    opt = {r["producers"]: r for r in _rows(doc, "optimized")}
-    if 256 in opt and 4096 in opt:
-        # Flat-scaling gate: optimized events/sec must not collapse
-        # as producer count grows 16x.
-        lo = opt[256]["events_per_sec"]
-        hi = opt[4096]["events_per_sec"]
+    sharded = {r["producers"]: r for r in _rows(doc, "sharded")}
+    if 256 in sharded and 4096 in sharded:
+        # Flat-scaling gate: sharded events/sec must not collapse as
+        # producer count grows 16x.
+        lo = sharded[256]["events_per_sec"]
+        hi = sharded[4096]["events_per_sec"]
         if hi < FLAT_SCALING_MIN_RATIO * lo:
             failures.append(
                 f"flat-scaling gate: {hi:.0f} events/s at 4096 "
                 f"producers < {FLAT_SCALING_MIN_RATIO} x {lo:.0f} "
                 f"at 256 producers")
     if args.paper_scale:
-        big = opt.get(65536)
+        big = sharded.get(65536)
         if big is not None and big["wall_s"] >= PAPER_65K_BUDGET_S:
             failures.append(f"65536-producer run took {big['wall_s']}s "
                             f"(budget {PAPER_65K_BUDGET_S}s)")

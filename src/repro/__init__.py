@@ -56,7 +56,6 @@ def standard_session(cluster: Cluster,
                      task_registry: Optional[dict] = None,
                      kvs_expiry: Optional[float] = None,
                      kvs_replicas: tuple = (),
-                     kvs_dedup: bool = False,
                      wexec_config: Optional[dict] = None) -> CommsSession:
     """Build a comms session loaded with the full Table I module set.
 
@@ -66,15 +65,13 @@ def standard_session(cluster: Cluster,
 
     ``kvs_replicas`` names the ranks holding standby replicas of the
     KVS root master (multi-master failover); empty keeps the classic
-    single-master protocol.  ``kvs_dedup`` turns on the per-link
-    payload-dedup wire protocol (object references instead of repeat
-    object bodies).  ``wexec_config`` passes extra keyword
+    single-master protocol.  ``wexec_config`` passes extra keyword
     options (``max_restarts``, ``respawn_backoff``) to the bulk
     launcher's node-loss recovery.
     """
     modules = [
         ModuleSpec(KvsModule, expiry=kvs_expiry,
-                   replicas=tuple(kvs_replicas), dedup=kvs_dedup),
+                   replicas=tuple(kvs_replicas)),
         ModuleSpec(BarrierModule),
         ModuleSpec(LogModule),
         ModuleSpec(GroupModule),

@@ -64,14 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse args, run KAP, print the phase report; returns exit code."""
-    args = build_parser().parse_args(argv)
-    config = KapConfig(
-        nnodes=args.nodes, procs_per_node=args.procs_per_node,
-        nproducers=args.producers, nconsumers=args.consumers,
-        value_size=args.value_size, nputs=args.nputs,
-        naccess=args.naccess, stride=args.stride,
-        redundant_values=args.redundant, dir_width=args.dir_width,
-        sync=args.sync, tree_arity=args.tree_arity, seed=args.seed)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = KapConfig(
+            nnodes=args.nodes, procs_per_node=args.procs_per_node,
+            nproducers=args.producers, nconsumers=args.consumers,
+            value_size=args.value_size, nputs=args.nputs,
+            naccess=args.naccess, stride=args.stride,
+            redundant_values=args.redundant, dir_width=args.dir_width,
+            sync=args.sync, tree_arity=args.tree_arity, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(f"KAP: {config.nnodes} nodes x {config.procs_per_node} procs "
           f"({config.producers} producers, {config.consumers} consumers), "

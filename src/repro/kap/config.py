@@ -57,11 +57,6 @@ class KapConfig:
         Fan-out of the comms tree (paper fixes binary = 2).
     seed:
         Simulation seed (determinism).
-    dedup:
-        Wire dedup mode: per-link sha filters on objs payloads and
-        remote walks for cold reads (see ``KvsModule``).  Off by
-        default — the classic protocol stays byte-identical, so the
-        golden SAN105 fingerprints keep reproducing.
     shards:
         Event-loop shards (``>1`` runs the KAP on a
         :class:`~repro.sim.shard.ShardedSimulation` with per-subtree
@@ -82,7 +77,6 @@ class KapConfig:
     sync: str = "fence"
     tree_arity: int = 2
     seed: int = 0
-    dedup: bool = False
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -96,6 +90,17 @@ class KapConfig:
             raise ValueError("dir_width must be positive")
         if self.value_size < 1:
             raise ValueError("value_size must be positive")
+        for role in ("nproducers", "nconsumers"):
+            n = getattr(self, role)
+            if n is not None and not 0 <= n <= self.nprocs:
+                raise ValueError(f"{role} must be in 0..{self.nprocs} "
+                                 f"(nodes x procs per node), got {n}")
+        if self.nputs < 1:
+            raise ValueError("nputs must be positive")
+        if self.naccess < 0:
+            raise ValueError("naccess must be non-negative")
+        if self.stride < 0:
+            raise ValueError("stride must be non-negative")
 
     @property
     def nprocs(self) -> int:

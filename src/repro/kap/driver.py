@@ -165,7 +165,7 @@ def _build(config: KapConfig, *, tracing: bool, sanitize: bool):
     session = CommsSession(
         cluster,
         topology=topology,
-        modules=[ModuleSpec(KvsModule, dedup=config.dedup),
+        modules=[ModuleSpec(KvsModule),
                  ModuleSpec(BarrierModule)],
     ).start()
     if tracing:

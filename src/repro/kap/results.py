@@ -41,8 +41,9 @@ class KapResult:
     #: sending broker) — the breakdown that shows where aggregation
     #: payloads concentrate.
     level_bytes: dict = field(default_factory=dict)
-    #: Bytes of work the KVS interning/dedup machinery avoided, summed
-    #: over ranks (``kvs_interned_bytes_saved_total``; 0 off/idle).
+    #: Bytes of canonical re-serialization that KVS payload interning
+    #: avoided, summed over ranks (``kvs_interned_bytes_saved_total``;
+    #: 0 when interning is off or idle).
     interned_bytes_saved: int = 0
     #: Runtime-sanitizer findings (``run_kap(sanitize=True)``); empty
     #: on a clean run or when sanitizers were off.

@@ -61,8 +61,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
-from ..cmb.errors import (EAGAIN, EEXIST, EHOSTUNREACH, EINVAL, EIO,
-                          ENOENT, RETRYABLE_CODES)
+from ..cmb.errors import (EEXIST, EHOSTUNREACH, EINVAL, EIO, ENOENT,
+                          RETRYABLE_CODES)
 from ..cmb.message import (HEADER_BYTES, Message, MessageType,
                            RequestContext)
 from ..cmb.module import CommsModule, request_handler
@@ -70,7 +70,7 @@ from ..obs import DEFAULT_SIZE_LADDER
 from ..jsonutil import (canonical_size, digest_and_size, intern_fragment,
                         interned_size, release_fragment)
 from .cache import SlaveCache
-from .hashtree import KvsPathError, apply_updates, lookup_ref, split_key
+from .hashtree import KvsPathError, lookup_ref, split_key
 from .master import CommitRecord, KvsMaster
 from .store import (EMPTY_DIR_SHA, dir_entries, is_dir_obj, is_link_obj,
                     link_of, make_link_obj, make_val_obj, val_of)
@@ -176,16 +176,14 @@ class KvsModule(CommsModule):
                  fence_window: float = 1e-4, name: str = "kvs",
                  master_rank: int = 0, master_commit_cost: float = 0.0,
                  master_op_cost: float = 0.0,
-                 replicas: tuple = (), repl_ack_min: int = 1,
-                 dedup: bool = False):
+                 replicas: tuple = (), repl_ack_min: int = 1):
         self.name = name  # instance override: sharded namespaces load
         # several KvsModule instances under distinct topic heads.
         super().__init__(broker, expiry=expiry, fence_window=fence_window,
                          name=name, master_rank=master_rank,
                          master_commit_cost=master_commit_cost,
                          master_op_cost=master_op_cost,
-                         replicas=replicas, repl_ack_min=repl_ack_min,
-                         dedup=dedup)
+                         replicas=replicas, repl_ack_min=repl_ack_min)
         self.expiry = expiry
         #: Aggregation window for partial fence flushes (seconds): how
         #: long a slave waits for more subtree contributions before
@@ -281,34 +279,12 @@ class KvsModule(CommsModule):
         # is off).
         self._cv_owner_commits = broker.registry.counter_vec(
             "kvs_owner_commits_total", ("ns", "owner"))
-        #: Wire dedup mode (off by default — the classic protocol stays
-        #: byte-identical).  When on, objs-carrying payloads replace
-        #: objects the uplink peer already holds with sha references
-        #: ("orefs"), and cold reads walk remotely instead of faulting
-        #: whole directories down the tree (see ``req_walk``).
-        self.dedup = bool(dedup)
-        #: Per-uplink-peer "already sent" sha filter.  Purely an
-        #: optimization: a receiver missing a referenced object answers
-        #: with a retryable ``{"missing": [...]}`` error and the sender
-        #: re-sends in full, so stale filter state (reroute, failover,
-        #: retransmit races) costs one extra round-trip, never
-        #: correctness.  Cleared wholesale on every topology-visible
-        #: event (live.down, promotion, newmaster).
-        self._link_sent: dict[int, set] = {}
-        #: Walk-get triggers already charged to the "walk" savings
-        #: counter (one legacy directory fault-in avoided per distinct
-        #: trigger sha per rank, mirroring ``_loads`` coalescing).
-        self._walk_seen: set = set()
-        # Bytes of work the interning/dedup machinery avoided, by kind:
-        # "sizing" (canonical re-serialization skipped via the intern
-        # table), "link" (wire bytes replaced by sha references), and
-        # "walk" (directory bytes not faulted down the tree).  Cells
-        # materialize on first inc, so snapshots are unchanged when the
-        # machinery is idle.
+        # Bytes of canonical re-serialization that payload interning
+        # skipped (kind "sizing": sizes served from the intern table).
+        # Cells materialize on first inc, so snapshots are unchanged
+        # when interning is idle.
         self._cv_interned = broker.registry.counter_vec(
             "kvs_interned_bytes_saved_total", ("ns", "kind"))
-        self._cv_walks = broker.registry.counter_vec(
-            "kvs_walk_gets_total", ("ns",))
         # Registry instruments (broker-owned registry; `ns` label keeps
         # sharded namespaces apart).  Cache hit/miss stay in the
         # SlaveCache's own hot-path counters and are synced into the
@@ -827,7 +803,6 @@ class KvsModule(CommsModule):
         self.master_rank = self.rank
         self._failed_over = True
         self._master_down = False
-        self._link_sent.clear()   # the uplink peer just changed
         self.broker._frec(self.broker.sim.now, "kvs_promote",
                           self.master.version, self.rank, None)
         tr = self.broker.session.span_tracer
@@ -860,7 +835,6 @@ class KvsModule(CommsModule):
             return
         self.master_rank = p["rank"]
         self._failed_over = True
-        self._link_sent.clear()   # master-ward routing just changed
         tr = self.broker.session.span_tracer
         if tr is not None and self._elect_span is not None:
             # We lost (or never finished) the election this span
@@ -1600,92 +1574,19 @@ class KvsModule(CommsModule):
         self._send_objs(f"{self.name}.flush", {"ops": ops}, objs,
                         callback, ctx=ctx, span=span)
 
-    def _uplink_peer(self) -> Optional[int]:
-        """The next-hop rank the master-ward path currently uses
-        (mirrors :meth:`_toward_master_cb`'s routing), or ``None``."""
-        if self.master_rank == 0 and not self._failed_over:
-            return self.broker.parent
-        return self._live_hop_toward(self.master_rank)
-
     def _send_objs(self, topic: str, payload: dict, objs: dict, callback,
                    *, ctx: Optional[RequestContext] = None,
                    span: Optional[tuple] = None) -> None:
-        """Send an objs-carrying payload toward the master.
-
-        In dedup mode each distinct object crosses a given uplink once:
-        objects the per-link filter says the peer has already been sent
-        travel as sha references (``"orefs"``) instead of bodies.  The
-        filter is purely an optimization — a receiver missing any
-        referenced object (filter gone stale across reroute, failover
-        or an epoch bump) rejects with a retryable ``{"missing": [...]}``
-        error and the payload is re-sent in full — so no chaos path can
-        ever lose an object to it.
-        """
-        if not self.dedup or not objs:
-            body = {**payload, "objs": objs}
-            self._toward_master_cb(
-                topic, body, callback, ctx=ctx, span=span,
-                payload_size=self._payload_size_with_objs(body, objs))
-            return
-        peer = self._uplink_peer()
-        sent = self._link_sent.setdefault(peer, set()) \
-            if peer is not None else set()
-        known = objs.keys() & sent
-        sent.update(objs)
-        if not known:
-            body = {**payload, "objs": objs}
-            self._toward_master_cb(
-                topic, body, callback, ctx=ctx, span=span,
-                payload_size=self._payload_size_with_objs(body, objs))
-            return
-        new = {s: o for s, o in objs.items() if s not in known}
-        body = {**payload, "objs": new, "orefs": sorted(known)}
-        full = {**payload, "objs": objs}
-        full_size = self._payload_size_with_objs(full, objs)
-        body_size = self._payload_size_with_objs(body, new)
-
-        def cb(resp: Message) -> None:
-            if resp.error is not None and "missing" in (resp.payload
-                                                        or {}):
-                # The receiver lacks a referenced object: re-send the
-                # whole thing.  (No savings are recorded on this path.)
-                self._toward_master_cb(topic, full, callback, ctx=ctx,
-                                       span=span, payload_size=full_size)
-                return
-            if resp.error is None and full_size > body_size:
-                self._cv_interned.inc((self.name, "link"),
-                                      full_size - body_size)
-            callback(resp)
-
-        self._toward_master_cb(topic, body, cb, ctx=ctx, span=span,
-                               payload_size=body_size)
-
-    def _resolve_orefs(self, msg: Message) -> Optional[dict]:
-        """Resolve an inbound payload's ``"orefs"`` from the local
-        store.  Returns ``{sha: obj}`` (empty when there were none); on
-        any miss, rejects the request with a retryable error naming the
-        missing shas — the sender re-sends in full — and returns
-        ``None`` (the caller must not have touched any state yet)."""
-        refs = msg.payload.get("orefs")
-        if not refs:
-            return {}
-        out: dict = {}
-        missing: list = []
-        for sha in refs:
-            obj = self._obj_get(sha)
-            if obj is None:
-                missing.append(sha)
-            else:
-                out[sha] = obj
-        if missing:
-            self.respond(msg, {"missing": missing},
-                         error="unknown object references", code=EAGAIN)
-            return None
-        return out
+        """Send an objs-carrying payload toward the master."""
+        body = {**payload, "objs": objs}
+        self._toward_master_cb(
+            topic, body, callback, ctx=ctx, span=span,
+            payload_size=self._payload_size_with_objs(body, objs))
 
     def interned_bytes_saved(self) -> int:
-        """Total bytes of work the interning/dedup machinery avoided at
-        this rank (all kinds — see the counter's init comment)."""
+        """Total bytes of canonical re-serialization that payload
+        interning avoided at this rank (see the counter's init
+        comment)."""
         return sum(self._cv_interned.data.values())
 
     @request_handler(required=("ops", "objs"))
@@ -1693,14 +1594,6 @@ class KvsModule(CommsModule):
         """A commit passing through from a downstream slave."""
         ops = msg.payload["ops"]
         objs = msg.payload["objs"]
-        resolved = self._resolve_orefs(msg)
-        if resolved is None:
-            return
-        if resolved:
-            # Referenced objects rejoin the payload before any further
-            # relay/commit: downstream of this link they are plain
-            # objects again (the next hop runs its own filter).
-            objs = {**objs, **resolved}
         pfx = msg.payload.get("pfx")
         if pfx is not None:
             # Delegated-namespace commit part en route to its owner
@@ -1805,13 +1698,6 @@ class KvsModule(CommsModule):
             # epoch, so folding this one in would double-count.
             self.respond(msg, {})
             return
-        # Resolve sha references *before* folding anything in: a
-        # missing reference rejects the whole message (the sender
-        # re-sends in full), so a rejected contribution must leave the
-        # aggregate untouched or the retry would double-count.
-        resolved = self._resolve_orefs(msg)
-        if resolved is None:
-            return
         agg = self._fence_for(p["name"], p["nprocs"])
         agg.count += p["count"]
         agg.total_seen += p["count"]
@@ -1840,7 +1726,6 @@ class KvsModule(CommsModule):
         # intern table does not keep every level's aggregates alive.
         release_fragment(child_ops)
         release_fragment(child_objs)
-        self._fence_add_objs(agg, resolved)
         self.respond(msg, {})
         self._maybe_flush_fence(agg)
 
@@ -1853,13 +1738,9 @@ class KvsModule(CommsModule):
             # back in could re-create (and re-commit) the fence.
             self.respond(msg, {})
             return
-        resolved = self._resolve_orefs(msg)
-        if resolved is None:
-            return
         agg = self._fence_for(name, p["nprocs"])
         if msg.span is not None:
             agg.span = msg.span
-        self._fence_add_objs(agg, resolved)
         changed = False
         for origin_s, share in p["shares"].items():
             origin = int(origin_s)
@@ -2094,10 +1975,6 @@ class KvsModule(CommsModule):
             # A standby may have died: recompute the ack watermark so
             # commits waiting on it are not stranded.
             self.broker.after(0.0, self._drain_repl_waiters)
-        # Topology just changed: every per-link "already sent" filter
-        # is suspect (the uplink may heal to a different peer).  Clear
-        # them all — worst case the next send re-ships some objects.
-        self._link_sent.clear()
         if self._shared_mode():
             self.broker.after(0.0, self._recover_shared)
             return
@@ -2302,27 +2179,20 @@ class KvsModule(CommsModule):
         self.broker.sim.spawn(self._get_proc(msg),
                               name=self._getproc_name)
 
-    def _get_proc(self, msg: Message, allow_walk: bool = True):
+    def _get_proc(self, msg: Message):
         key = msg.payload["key"]
         want_ref = msg.payload.get("ref", False)
-        root = self.root_sha
         try:
             parts = split_key(key)
         except KvsPathError as exc:
             self.respond(msg, error=str(exc), code=exc.code)
             return
-        sha = root
+        sha = self.root_sha
         obj = None
         try:
             for i, part in enumerate(parts):
                 obj = self._obj_get(sha)
                 if obj is None:
-                    if self.dedup and allow_walk and self.master is None:
-                        # Dedup-mode cold read: ship the walk to the
-                        # data instead of faulting whole directories
-                        # down the tree (the Figure 4a effect).
-                        self._walk_remote(msg, key, want_ref, root, sha)
-                        return
                     obj = yield self._fault(sha, ctx=msg.ctx,
                                             span=msg.span)
                 if obj is None:
@@ -2348,9 +2218,6 @@ class KvsModule(CommsModule):
                 return
             obj = self._obj_get(sha)
             if obj is None:
-                if self.dedup and allow_walk and self.master is None:
-                    self._walk_remote(msg, key, want_ref, root, sha)
-                    return
                 obj = yield self._fault(sha, ctx=msg.ctx, span=msg.span)
             if obj is None:
                 raise KvsPathError(f"object {sha} lost in transit",
@@ -2436,117 +2303,6 @@ class KvsModule(CommsModule):
         self._toward_master_cb(f"{self.name}.load", {"sha": sha},
                                lambda resp: self._fault_done(sha, resp),
                                ctx=msg.ctx, span=msg.span)
-
-    # ------------------------------------------------------------------
-    # remote walks (dedup mode)
-    # ------------------------------------------------------------------
-    def _walk_remote(self, msg: Message, key: str, want_ref: bool,
-                     root: str, trigger: str) -> None:
-        """Resolve a cold read by shipping the *walk* master-ward
-        instead of faulting every directory on the path into this
-        rank's cache.  The response's ``"sv"`` reports the directory
-        bytes the resolver traversed on our behalf — bytes that, under
-        the legacy protocol, would have crossed every tree edge between
-        here and the resolver exactly once (``_fault`` coalescing), so
-        they are charged to the "walk" savings counter once per
-        distinct trigger sha."""
-        self._cv_walks.inc((self.name,))
-        payload = {"key": key, "root": root}
-        if want_ref:
-            payload["ref"] = True
-
-        def done(resp: Message) -> None:
-            if resp.error is not None:
-                self.respond(msg, error=resp.error, code=resp.errnum,
-                             err_rank=resp.err_rank)
-                return
-            p = resp.payload
-            if p.get("link"):
-                # The walk crossed into a delegated namespace; the
-                # legacy fault-in path re-routes through link objects.
-                self.broker.sim.spawn(self._get_proc(msg, False),
-                                      name=self._getproc_name)
-                return
-            sv = p.get("sv", 0)
-            if sv and trigger not in self._walk_seen:
-                self._walk_seen.add(trigger)
-                self._cv_interned.inc((self.name, "walk"), sv)
-            if "ref" in p:
-                self.respond(msg, {"ref": p["ref"]})
-            elif "dir" in p:
-                self.respond(msg, {"dir": p["dir"]})
-            else:
-                if "sha" in p:
-                    # Cache the terminal value object (the legacy path
-                    # would have), so repeat gets stay local.
-                    self._obj_put(p["sha"], make_val_obj(p["value"]))
-                self.respond(msg, {"value": p["value"]})
-
-        self._toward_master_cb(f"{self.name}.walk", payload, done,
-                               ctx=msg.ctx, span=msg.span)
-
-    @request_handler(required=("key", "root"))
-    def req_walk(self, msg: Message) -> None:
-        """Resolve a full key walk on behalf of a downstream rank
-        (dedup mode).  The request carries the requester's root
-        snapshot, so this is the same pure hash-tree lookup the
-        requester would have performed — identical read semantics,
-        minus the directory fault-ins.  A rank missing any object on
-        the path forwards the walk another hop toward the master."""
-        p = msg.payload
-        key, root = p["key"], p["root"]
-        try:
-            parts = split_key(key)
-        except KvsPathError as exc:
-            self.respond(msg, error=str(exc), code=exc.code)
-            return
-        sha = root
-        traversed = 0
-        for i, part in enumerate(parts):
-            obj = self._obj_get(sha)
-            if obj is None:
-                self._forward_walk(msg, sha)
-                return
-            if is_link_obj(obj):
-                self.respond(msg, {"link": True, "sv": traversed})
-                return
-            if not is_dir_obj(obj):
-                self.respond(
-                    msg,
-                    error=f"{'.'.join(parts[:i])!r} is not a directory",
-                    code=EINVAL)
-                return
-            traversed += self._obj_size(sha, obj)
-            entries = dir_entries(obj)
-            if part not in entries:
-                self.respond(msg, error=f"key {key!r} not found",
-                             code=ENOENT)
-                return
-            sha = entries[part]
-        if p.get("ref"):
-            self.respond(msg, {"ref": sha, "sv": traversed})
-            return
-        obj = self._obj_get(sha)
-        if obj is None:
-            self._forward_walk(msg, sha)
-            return
-        if is_link_obj(obj):
-            self.respond(msg, {"link": True, "sv": traversed})
-        elif is_dir_obj(obj):
-            self.respond(msg, {"dir": sorted(dir_entries(obj)),
-                               "sv": traversed})
-        else:
-            self.respond(msg, {"value": val_of(obj), "sha": sha,
-                               "sv": traversed})
-
-    def _forward_walk(self, msg: Message, sha: str) -> None:
-        if self.master is not None:
-            self.respond(msg, error=f"unknown object {sha}", code=ENOENT)
-            return
-        self._toward_master_cb(
-            f"{self.name}.walk", dict(msg.payload),
-            lambda resp: self._relay_response(msg, resp),
-            ctx=msg.ctx, span=msg.span)
 
     # ------------------------------------------------------------------
     # debugging / administration

@@ -104,7 +104,6 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
                        stats_out: Optional[str] = None,
                        sanitize: bool = False,
                        kvs_replicas: tuple = (),
-                       kvs_dedup: bool = False,
                        postmortem_out: Optional[str] = None
                        ) -> ChaosReport:
     """Run the chaos workload; see module docstring.
@@ -136,7 +135,7 @@ def run_chaos_workload(n_nodes: int = 31, n_clients: int = 16,
     session = standard_session(
         cluster, with_heartbeat=True, hb_period=hb_period,
         hb_max_epochs=max(64, int(run_until / hb_period)),
-        kvs_replicas=kvs_replicas, kvs_dedup=kvs_dedup)
+        kvs_replicas=kvs_replicas)
     session.start()
     if trace_out:
         session.enable_tracing()

@@ -33,6 +33,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             KapConfig(value_size=0)
 
+    @pytest.mark.parametrize("bad", [
+        dict(nproducers=5), dict(nproducers=-1),
+        dict(nconsumers=5), dict(nconsumers=-1),
+        dict(nputs=0), dict(naccess=-1), dict(stride=-1),
+    ])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            KapConfig(nnodes=2, procs_per_node=2, **bad)
+
+    @pytest.mark.parametrize("edge", [
+        dict(nproducers=0), dict(nproducers=4), dict(nconsumers=0),
+        dict(nconsumers=4), dict(naccess=0), dict(stride=0),
+    ])
+    def test_range_edges_accepted(self, edge):
+        KapConfig(nnodes=2, procs_per_node=2, **edge)
+
 
 class TestPatterns:
     def test_single_dir_keys(self):

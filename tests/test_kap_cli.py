@@ -25,6 +25,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--sync", "bogus"])
 
+    def test_out_of_range_config_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["--nodes", "2", "--procs-per-node", "2",
+                  "--producers", "100"])
+        assert ei.value.code == 2
+        assert "nproducers must be in 0..4" in capsys.readouterr().err
+
 
 class TestMain:
     def test_small_run_exits_zero(self, capsys):

@@ -1,18 +1,10 @@
-"""Payload interning and per-link dedup correctness.
+"""Payload interning correctness.
 
-Two independent mechanisms, two contracts:
-
-- **Interning** (:mod:`repro.jsonutil` fragment table, on by default)
-  memoizes canonical sizes/digests of shared payload fragments.  It is
-  host-side only, so it must be *event-invisible*: the same-seed
-  SAN105 fingerprint must be identical with interning on and off, and
-  every memoized size must equal the exact canonical encoding length.
-- **Per-link dedup** (``KvsModule(dedup=True)``, off by default) sends
-  each distinct object across a tree edge once and sha references
-  (``orefs``) afterward.  The per-link filter is a pure optimization:
-  a receiver missing a referenced object rejects retryably and the
-  sender re-sends in full, so no reroute/retransmit/failover can lose
-  an object to a stale filter.
+Interning (:mod:`repro.jsonutil` fragment table, on by default)
+memoizes canonical sizes/digests of shared payload fragments.  It is
+host-side only, so it must be *event-invisible*: the same-seed SAN105
+fingerprint must be identical with interning on and off, and every
+memoized size must equal the exact canonical encoding length.
 """
 
 import pytest
@@ -21,14 +13,7 @@ from repro.jsonutil import (canonical_dumps, canonical_size,
                             clear_intern_table, digest_and_size,
                             intern_fragment, intern_stats, interned_size,
                             set_interning)
-from repro.cmb.modules import BarrierModule
-from repro.cmb.session import CommsSession, ModuleSpec
-from repro.cmb.topology import TreeTopology
 from repro.kap import KapConfig, run_kap
-from repro.kvs import KvsClient, KvsModule
-from repro.sim.cluster import make_cluster
-
-from .chaos import run_chaos_workload
 
 GOLDEN_KAP_256 = "52654cf1c7ec6e222120c2123f5d6763dbdc9834"
 
@@ -148,109 +133,3 @@ def test_fingerprint_identical_with_interning_off():
             off.max_consumer_latency) == (on.max_producer_latency,
                                           on.max_sync_latency,
                                           on.max_consumer_latency)
-
-
-# -- dedup wire mode ----------------------------------------------------
-
-def test_dedup_deterministic_and_byte_reducing():
-    """Dedup mode is same-seed deterministic and cuts tree bytes at
-    paper scale (the win grows with producer count; at 64 nodes the
-    directory fault-in traffic already dominates legacy)."""
-    cfg = dict(nnodes=64, procs_per_node=16, value_size=64, seed=1)
-    legacy = run_kap(KapConfig(**cfg))
-    a = run_kap(KapConfig(**cfg, dedup=True), sanitize=True)
-    b = run_kap(KapConfig(**cfg, dedup=True), sanitize=True)
-    assert a.sanitizer_findings == []
-    assert a.event_fingerprint == b.event_fingerprint
-    assert a.events == b.events
-    assert a.bytes_sent == b.bytes_sent
-    assert a.bytes_sent * 1.5 < legacy.bytes_sent
-    assert a.interned_bytes_saved > legacy.bytes_sent - a.bytes_sent
-
-
-def _dedup_session(n=8, seed=5):
-    cluster = make_cluster(n, seed=seed)
-    session = CommsSession(
-        cluster, topology=TreeTopology(n, arity=2),
-        modules=[ModuleSpec(KvsModule, dedup=True),
-                 ModuleSpec(BarrierModule)]).start()
-    return cluster, session
-
-
-def test_oref_miss_rejects_and_resends_full():
-    """A stale per-link filter (receiver lacks a referenced object)
-    must trigger the reject/re-send-full recovery, and the commit must
-    still land the right value."""
-    cluster, session = _dedup_session()
-    mod = session.module_at(7, "kvs")
-    rejected = {"n": 0}
-
-    def counting_resolve_at(m, msg):
-        out = KvsModule._resolve_orefs(m, msg)
-        if out is None:
-            rejected["n"] += 1
-        return out
-    # Count rejections at the receiving hops on rank 7's uplink path.
-    for rank in (3, 1, 0):
-        m = session.module_at(rank, "kvs")
-        m._resolve_orefs = (lambda msg, _m=m: counting_resolve_at(_m, msg))
-
-    def writer():
-        kvs = KvsClient(session.connect(7))
-        yield kvs.put("a", "first")
-        yield kvs.commit()
-        yield kvs.put("b", "second")
-        # Poison rank 7's uplink filter with the not-yet-sent dirty
-        # objects: the flush will carry orefs the parent has never
-        # seen, forcing the recovery path.
-        peer = mod._uplink_peer()
-        for dirty in mod._dirty.values():
-            mod._link_sent.setdefault(peer, set()).update(dirty.objs)
-        yield kvs.commit()
-        return (yield kvs.get("b"))
-
-    proc = cluster.sim.spawn(writer())
-    cluster.sim.run()
-    assert proc.ok, f"writer failed: {proc._exc!r}"
-    assert proc.value == "second"
-    assert rejected["n"] >= 1, "stale filter never tripped the reject"
-
-    def reader():
-        kvs = KvsClient(session.connect(2))
-        return (yield kvs.get("b"))
-
-    rproc = cluster.sim.spawn(reader())
-    cluster.sim.run()
-    assert rproc.ok and rproc.value == "second"
-
-
-def test_dedup_chaos_drop_dup_converges():
-    """Lossy + duplicating fabric with dedup on: retransmits and
-    reroutes must never let the per-link filter suppress an object the
-    receiver lacks — every acked write stays readable, sanitizers
-    clean."""
-    rep = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
-                             dup_rate=0.02, n_iters=2, run_until=30.0,
-                             sanitize=True, kvs_dedup=True)
-    assert rep.converged, rep.errors
-    assert rep.reads_failed == 0
-    assert rep.sanitizer_findings == []
-    assert rep.reads_verified == 8 * 3
-
-
-def test_dedup_root_failover_mid_fence_converges():
-    """Root master killed mid-fence with dedup on: the promotion
-    clears the master-ward filters, the replayed fence re-sends its
-    objects, and no acked write is lost."""
-    rep = run_chaos_workload(n_nodes=15, n_clients=8, drop_rate=0.01,
-                             seed=5, fault_seed=13,
-                             kill_ranks=(0,), kill_at=0.12,
-                             hb_period=0.05, n_iters=2, iter_gap=0.1,
-                             timeout=0.5, retries=10, run_until=40.0,
-                             kvs_replicas=(1, 2), sanitize=True,
-                             kvs_dedup=True)
-    assert rep.converged, rep.errors
-    assert rep.reads_failed == 0
-    assert rep.hung_waiters == 0
-    assert rep.sanitizer_findings == []
-    assert rep.reads_verified == 8 * 3

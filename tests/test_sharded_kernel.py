@@ -248,14 +248,3 @@ class TestKapEquivalence:
         assert four.max_sync_latency == one.max_sync_latency
         assert four.max_consumer_latency == one.max_consumer_latency
         assert four.plane_bytes == one.plane_bytes
-
-    def test_burst_with_dedup_matches_merged_dedup(self):
-        """The optimized bench mode (dedup + shards) must agree with
-        its own merged (sanitized) run on seed-determined counts."""
-        kw = dict(nnodes=16, procs_per_node=16, value_size=64, seed=1,
-                  dedup=True)
-        burst = run_kap(_cfg(**kw, shards=4))
-        merged = run_kap(_cfg(**kw, shards=4), sanitize=True)
-        assert burst.events == merged.events
-        assert burst.bytes_sent == merged.bytes_sent
-        assert burst.total_time == merged.total_time
