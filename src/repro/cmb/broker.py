@@ -21,7 +21,6 @@ socket client transport.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -55,6 +54,10 @@ PLANE_LOCAL = "local"
 _RESPONSE = MessageType.RESPONSE
 _REQUEST = MessageType.REQUEST
 _EVENT = MessageType.EVENT
+
+#: Replay-cache miss marker: a success entry is the bare payload, which
+#: may be ``None``.
+_MISS = object()
 
 #: Flight-recorder salient-key extractors for event deliveries: which
 #: payload field(s) the post-mortem doctor needs to reconstruct the
@@ -140,15 +143,20 @@ class Broker:
         self._pending: dict[int, _Pending] = {}
         # Idempotent-replay state (tentpole of the chaos work): per
         # module, a bounded LRU of recently answered requests keyed by
-        # (ctx.reqid, msgid, topic) -> the response fields; duplicates
-        # of an answered request replay the cached response instead of
-        # re-executing the handler.  Duplicates of a *still unanswered*
-        # request park in ``_inflight`` and are answered alongside the
-        # original.  Keys include the msgid because a module chain may
-        # issue several sub-requests under one logical reqid (e.g. the
-        # kvs.load fan-out of a single get).
-        self._replay: dict[str, OrderedDict] = {}
-        self._inflight: dict[tuple, list[Message]] = {}
+        # msgid; duplicates of an answered request replay the cached
+        # response instead of re-executing the handler.  Duplicates of
+        # a *still unanswered* request park in ``_inflight`` and are
+        # answered alongside the original.  The msgid alone identifies
+        # a request: it comes from one process-wide counter, forwards,
+        # retransmits and client retries keep it, and the sub-requests
+        # a module chain issues under one logical reqid (e.g. the
+        # kvs.load fan-out of a single get) each get a fresh one.  The
+        # LRU is a plain insertion-ordered dict (a hit or insert pops
+        # and re-inserts; eviction drops the first key) whose value is
+        # the bare payload for a success and an
+        # ``(payload, error, errnum, err_rank)`` tuple for an error.
+        self._replay: dict[str, dict[int, Any]] = {}
+        self._inflight: dict[int, list[Message]] = {}
         self.replay_cap = 256
         self._subs: list[tuple[str, Callable[[Message], None]]] = []
         # Frozen snapshot iterated by _deliver_event (the hot event
@@ -374,28 +382,18 @@ class Broker:
             self._route_request(msg, _Source("child", msg.src_rank))
 
     # -- request path ---------------------------------------------------
-    def _dedup_key(self, msg: Message) -> Optional[tuple]:
-        """Idempotency key of a context-carrying request: the logical
-        request id plus the msgid (stable across every retransmission,
-        re-route and client retry of the same message, distinct across
-        the sub-requests a module chain issues under one reqid)."""
-        if msg.ctx is None:
-            return None
-        return (msg.ctx.reqid, msg.msgid, msg.topic)
-
     def _route_request(self, msg: Message, source: _Source) -> None:
         """Deliver to a local module or forward upstream (paper: requests
         are routed upstream to the first matching comms module)."""
         st = _split_cache.get(msg.topic) or split_topic(msg.topic)
         mod = self.modules.get(st[0])
         if mod is not None:
-            key = self._dedup_key(msg)
-            if key is not None and self._absorb_duplicate(mod.name, key,
-                                                          msg, source):
+            ctx = msg.ctx
+            if ctx is not None and self._absorb_duplicate(mod.name, msg,
+                                                          source):
                 return
             self._c_requests.value += 1
             self._count(PLANE_LOCAL, msg)
-            ctx = msg.ctx
             now = self.sim.now
             self._frec(now, "dispatch", msg.topic,
                        ctx.reqid if ctx is not None else None, source.kind)
@@ -411,8 +409,8 @@ class Broker:
                                      "dispatch", self.rank)
                 msg._obs_span = span  # type: ignore[attr-defined]
                 msg.span = (span.trace_id, span.span_id)
-            if key is not None:
-                self._inflight[key] = []
+            if ctx is not None:
+                self._inflight[msg.msgid] = []
             try:
                 mod.dispatch_request(msg)
             except NoHandlerError as exc:
@@ -434,32 +432,40 @@ class Broker:
                                "parent")
         self._send(self.parent, PLANE_TREE, fwd)
 
-    def _absorb_duplicate(self, mod_name: str, key: tuple, msg: Message,
+    def _absorb_duplicate(self, mod_name: str, msg: Message,
                           source: _Source) -> bool:
         """Serve a duplicate request from the replay cache, or park it
         behind its still-in-flight original.  Returns True when ``msg``
         was absorbed (the handler must not run again)."""
         msg._source = source  # type: ignore[attr-defined]
         msg._broker = self    # type: ignore[attr-defined]
+        key = msg.msgid
         cache = self._replay.get(mod_name)
         if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                cache.move_to_end(key)
+            hit = cache.pop(key, _MISS)
+            if hit is not _MISS:
+                cache[key] = hit
                 self._c_replay_hits.inc()
-                self._frec(self.sim.now, "replay", msg.topic, key[0], None)
+                self._frec(self.sim.now, "replay", msg.topic,
+                           msg.ctx.reqid, None)
                 tr = self.session.span_tracer
                 if tr is not None:
                     tr.instant(msg.span, f"replay:{msg.topic}", "retry",
                                self.rank)
-                payload, error, errnum, err_rank = hit
-                self._emit_response(msg, msg.make_response(
-                    payload, error=error, errnum=errnum, err_rank=err_rank))
+                if type(hit) is tuple:
+                    payload, error, errnum, err_rank = hit
+                    resp = msg.make_response(payload, error=error,
+                                             errnum=errnum,
+                                             err_rank=err_rank)
+                else:
+                    resp = msg.make_response(hit)
+                self._emit_response(msg, resp)
                 return True
         parked = self._inflight.get(key)
         if parked is not None:
             self._c_dups_parked.inc()
-            self._frec(self.sim.now, "dup_parked", msg.topic, key[0], None)
+            self._frec(self.sim.now, "dup_parked", msg.topic,
+                       msg.ctx.reqid, None)
             tr = self.session.span_tracer
             if tr is not None:
                 tr.instant(msg.span, f"dup_parked:{msg.topic}", "retry",
@@ -514,20 +520,20 @@ class Broker:
                     tr.finish(span, error=resp.errnum)
                 else:
                     tr.finish(span)
-        key = self._dedup_key(request)
-        if key is not None:
-            transient = (resp.error is not None
-                         and resp.errnum in RETRYABLE_CODES)
-            if not transient:
+        if request.ctx is not None:
+            key = request.msgid
+            error = resp.error
+            if error is None or resp.errnum not in RETRYABLE_CODES:
                 mod_name = request.module_name()
                 cache = self._replay.get(mod_name)
                 if cache is None:
-                    cache = self._replay[mod_name] = OrderedDict()
-                cache[key] = (resp.payload, resp.error, resp.errnum,
-                              resp.err_rank)
-                cache.move_to_end(key)
+                    cache = self._replay[mod_name] = {}
+                cache.pop(key, None)
+                cache[key] = (resp.payload if error is None else
+                              (resp.payload, error, resp.errnum,
+                               resp.err_rank))
                 while len(cache) > self.replay_cap:
-                    cache.popitem(last=False)
+                    del cache[next(iter(cache))]
             for dup in self._inflight.pop(key, ()):
                 self._emit_response(dup, dup.make_response(
                     resp.payload, error=resp.error, errnum=resp.errnum,

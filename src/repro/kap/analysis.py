@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 __all__ = ["PowerLawFit", "fit_power_law", "scaling_exponents",
            "classify_scaling"]
 
@@ -40,6 +38,7 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     With fewer than two distinct x values the fit is degenerate and a
     ``ValueError`` is raised.
     """
+    import numpy as np
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size < 2:

@@ -62,17 +62,17 @@ class KapResult:
     @property
     def max_producer_latency(self) -> float:
         """Figure 2's y-value for this run."""
-        return self.producer.summary().max if len(self.producer) else 0.0
+        return self.producer.max() if len(self.producer) else 0.0
 
     @property
     def max_sync_latency(self) -> float:
         """Figure 3's y-value for this run."""
-        return self.sync.summary().max if len(self.sync) else 0.0
+        return self.sync.max() if len(self.sync) else 0.0
 
     @property
     def max_consumer_latency(self) -> float:
         """Figure 4's y-value for this run."""
-        return self.consumer.summary().max if len(self.consumer) else 0.0
+        return self.consumer.max() if len(self.consumer) else 0.0
 
     def summaries(self) -> dict[str, Optional[Summary]]:
         """Per-phase summaries (None for unexercised phases)."""

@@ -6,10 +6,10 @@ past* of every broker is exactly what the post-mortem needs.  The
 :class:`FlightRecorder` squares that: a fixed-capacity ring buffer of
 compact structured records that stays on **always** — tracing off,
 sanitizers off, benchmarks included — because an append is O(1) and
-allocates a single small tuple, comparable to the per-message counter
-update the broker already pays.
+allocates nothing once the ring is full: five slot stores, comparable
+to the per-message counter update the broker already pays.
 
-Records are 6-tuples ``(t, seq, kind, a, b, c)``:
+Records read back as 6-tuples ``(t, seq, kind, a, b, c)``:
 
 - ``t`` — simulated time of the record;
 - ``seq`` — per-recorder monotonically increasing sequence number
@@ -19,25 +19,38 @@ Records are 6-tuples ``(t, seq, kind, a, b, c)``:
 - ``a``/``b``/``c`` — kind-specific payload slots (topic, rank,
   version, ...), kept to cheap scalars/small tuples.
 
+The ring is stored in columns, because one recorder lives on every
+broker and its footprint multiplies by the node count: times in an
+``array('d')`` (8 bytes, no float object) and ``kind``/``a``/``b``/``c``
+in four lists (one pointer each), about 40 bytes per retained record
+against ~190 for a tuple per record.  ``seq`` is not stored at all: it
+is the record's absolute append index, recovered from the position.
+:meth:`records` rebuilds the tuples on demand, so snapshots are
+unchanged.
+
 The recorder is a **pure observer** in the simulation's sense: it
 schedules no events, draws no randomness, and never affects message
 sizes — so enabling it (it is never disabled) cannot perturb the
 event stream, and same-seed runs produce bit-identical rings.
 
 Capacity is rounded up to a power of two so the hot-path index is a
-single mask; old records are overwritten silently and the overwrite
-count is reported as ``dropped`` in :meth:`snapshot`.
+single mask; the columns grow by append up to capacity, then old
+records are overwritten silently and the overwrite count is reported
+as ``dropped`` in :meth:`snapshot`.
 """
 
 from __future__ import annotations
+
+from array import array
 
 __all__ = ["FlightRecorder"]
 
 
 class FlightRecorder:
-    """Fixed-capacity ring of structured flight records."""
+    """Fixed-capacity columnar ring of structured flight records."""
 
-    __slots__ = ("capacity", "_mask", "_buf", "_n")
+    __slots__ = ("capacity", "_mask", "_t", "_kind", "_a", "_b", "_c",
+                 "_n")
 
     def __init__(self, capacity: int = 1024):
         if capacity < 1:
@@ -47,14 +60,25 @@ class FlightRecorder:
             cap <<= 1
         self.capacity = cap
         self._mask = cap - 1
-        self._buf: list = [None] * cap
-        self._n = 0
+        self.clear()
 
     # -- hot path -------------------------------------------------------
     def rec(self, t: float, kind: str, a=None, b=None, c=None) -> None:
-        """Append one record (O(1): one tuple, one store, one add)."""
+        """Append one record (O(1): five column stores, one add)."""
         i = self._n
-        self._buf[i & self._mask] = (t, i, kind, a, b, c)
+        if i < self.capacity:
+            self._t.append(t)
+            self._kind.append(kind)
+            self._a.append(a)
+            self._b.append(b)
+            self._c.append(c)
+        else:
+            j = i & self._mask
+            self._t[j] = t
+            self._kind[j] = kind
+            self._a[j] = a
+            self._b[j] = b
+            self._c[j] = c
         self._n = i + 1
 
     # -- introspection --------------------------------------------------
@@ -80,11 +104,13 @@ class FlightRecorder:
     def records(self) -> list:
         """Retained records, oldest first (each a 6-tuple)."""
         n = self._n
-        if n <= self.capacity:
-            return self._buf[:n]
-        mask = self._mask
-        buf = self._buf
-        return [buf[i & mask] for i in range(n - self.capacity, n)]
+        cols = (self._t, self._kind, self._a, self._b, self._c)
+        if n > self.capacity:
+            # Full ring: the oldest record sits at the next write slot.
+            j = n & self._mask
+            cols = tuple(col[j:] + col[:j] for col in cols)
+        t, kind, a, b, c = cols
+        return list(zip(t, range(n - len(t), n), kind, a, b, c))
 
     def snapshot(self) -> dict:
         """JSON-able dump: retained records plus occupancy telemetry."""
@@ -98,7 +124,11 @@ class FlightRecorder:
 
     def clear(self) -> None:
         """Reset the ring (tests / reuse between workload phases)."""
-        self._buf = [None] * self.capacity
+        self._t = array("d")
+        self._kind = []
+        self._a = []
+        self._b = []
+        self._c = []
         self._n = 0
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -672,11 +672,11 @@ class Simulation:
                     self._ndead -= 1
                 continue
             if head[0] > until:
-                self.now = until
+                self.now = float(until)
                 return self.now
             self._step(max_events)
         if until > self.now:
-            self.now = until
+            self.now = float(until)
         return self.now
 
     def run_until_complete(self, proc: Process,

@@ -225,11 +225,11 @@ class ShardedSimulation(Simulation):
             if head is None:
                 break
             if head > until:
-                self.now = until
+                self.now = float(until)
                 return self.now
             self._step(max_events)
         if until > self.now:
-            self.now = until
+            self.now = float(until)
         return self.now
 
     def _run_burst(self) -> float:

@@ -2,7 +2,9 @@
 
 The benchmark harness needs per-phase latency distributions (max, mean,
 percentiles) over thousands of simulated processes; :class:`StatSeries`
-accumulates samples cheaply and summarizes them with numpy.
+accumulates samples cheaply and summarizes them with numpy, which is
+imported only when a summary is asked for: the headline ``max`` is pure
+Python, so a plain KAP run never loads numpy.
 :class:`Tracer` records (time, category, payload) tuples for debugging
 and for determinism fingerprints in tests.
 """
@@ -10,10 +12,13 @@ and for determinism fingerprints in tests.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from math import copysign, isnan
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["StatSeries", "Summary", "Tracer"]
 
@@ -60,14 +65,31 @@ class StatSeries:
         return len(self._samples)
 
     @property
-    def values(self) -> np.ndarray:
+    def values(self) -> "np.ndarray":
         """Samples as a numpy array (copy)."""
+        import numpy as np
         return np.asarray(self._samples, dtype=np.float64)
+
+    def max(self) -> float:
+        """Largest sample, equal to ``summary().max`` without numpy;
+        raises ``ValueError`` on an empty series."""
+        samples = self._samples
+        if not samples:
+            raise ValueError(f"no samples in series {self.name!r}")
+        m = max(samples)
+        if isnan(sum(samples)) or (m == 0.0 and any(
+                copysign(1.0, v) < 0.0 for v in samples if v == 0.0)):
+            # numpy propagates NaN, and the sign of a zero maximum over
+            # mixed +0.0/-0.0 depends on its SIMD loop: defer to it for
+            # those series (simulated latencies never produce either).
+            return float(self.values.max())
+        return m
 
     def summary(self) -> Summary:
         """Summarize; raises ``ValueError`` on an empty series."""
         if not self._samples:
             raise ValueError(f"no samples in series {self.name!r}")
+        import numpy as np
         arr = self.values
         return Summary(
             count=int(arr.size),
@@ -89,7 +111,7 @@ class Tracer:
 
     def __init__(self, capacity: Optional[int] = None):
         self.capacity = capacity
-        self._records: list[tuple[float, str, Any]] = []
+        self._records: deque[tuple[float, str, Any]] = deque(maxlen=capacity)
         self.enabled = True
 
     def record(self, t: float, category: str, payload: Any = None) -> None:
@@ -97,8 +119,6 @@ class Tracer:
         if not self.enabled:
             return
         self._records.append((t, category, payload))
-        if self.capacity is not None and len(self._records) > self.capacity:
-            del self._records[: len(self._records) - self.capacity]
 
     def records(self, category: Optional[str] = None) -> list[tuple[float, str, Any]]:
         """All records, optionally filtered by category."""

@@ -1,8 +1,12 @@
 """Integration tests for broker routing, sessions, and client handles."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cmb.api import RpcError
+from repro.cmb.errors import ENOENT, EPROTO, ETIMEDOUT
 from repro.cmb.message import Message
 from repro.cmb.module import CommsModule
 from repro.cmb.session import CommsSession, ModuleSpec
@@ -316,3 +320,63 @@ class TestSelfHealWiring:
         cluster.sim.run()
         for rank in [0, 2, 3, 4, 7, 8, 9, 10]:
             assert session.module_at(rank, "counter").seen == [1]
+
+
+# ----------------------------------------------------------------------
+# replay cache: LRU semantics against an OrderedDict reference model
+# ----------------------------------------------------------------------
+_REPLAY_OPS = st.lists(st.tuples(
+    st.sampled_from(["ok", "err", "transient", "dup"]),
+    st.integers(0, 7)), max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), _REPLAY_OPS)
+def test_replay_cache_matches_ordered_dict_model(cap, ops):
+    """The broker's replay cache keeps the LRU order, eviction at
+    ``replay_cap`` and exact replay of success and error responses of
+    an ``OrderedDict`` of ``(payload, error, errnum, err_rank)`` keyed
+    by request, with hits and inserts moved to the end."""
+    _, session = make_session(n=1, modules=[ModuleSpec(EchoModule)])
+    broker = session.brokers[0]
+    broker.replay_cap = cap
+    emitted = []
+    broker._emit_response = lambda req, resp: emitted.append(resp)
+    reqs = []
+    for i in range(8):
+        req = Message(topic="echo.ping", payload={"i": i}, src_rank=0)
+        req.ensure_context(origin_rank=0)
+        reqs.append(req)
+    model: OrderedDict = OrderedDict()
+    hits = broker.replay_hits
+    for step, (op, i) in enumerate(ops):
+        req = reqs[i]
+        if op == "dup":
+            emitted.clear()
+            absorbed = broker._absorb_duplicate("echo", req.copy(), None)
+            assert absorbed == (i in model)
+            if absorbed:
+                model.move_to_end(i)
+                hits += 1
+                (resp,) = emitted
+                assert resp.msgid == req.msgid
+                assert (resp.payload, resp.error, resp.errnum,
+                        resp.err_rank) == model[i]
+        else:
+            if op == "ok":
+                resp = req.make_response({"i": i, "step": step})
+            else:
+                resp = req.make_response(
+                    error=op, err_rank=step % 3,
+                    errnum=ETIMEDOUT if op == "transient" else
+                    (EPROTO if step % 2 else ENOENT))
+            broker._finish_request(req, resp)
+            if op != "transient":
+                model[i] = (resp.payload, resp.error, resp.errnum,
+                            resp.err_rank)
+                model.move_to_end(i)
+                while len(model) > cap:
+                    model.popitem(last=False)
+        cache = broker._replay.get("echo", {})
+        assert list(cache) == [reqs[j].msgid for j in model]
+        assert broker.replay_hits == hits

@@ -9,6 +9,10 @@ rings (the "pure observer" promise, stronger than the SAN105
 fingerprint which only sees the event stream).
 """
 
+import json
+
+from hypothesis import given, strategies as st
+
 from repro import make_cluster, standard_session
 from repro.kvs import KvsClient
 from repro.obs import FlightRecorder
@@ -75,6 +79,63 @@ class TestRing:
         fr.clear()
         assert fr.appended == 0 and fr.dropped == 0
         assert fr.records() == []
+
+
+class _TupleRing:
+    """Reference model: one ``(t, seq, kind, a, b, c)`` tuple per slot
+    of a preallocated ring -- the row layout the columnar ring must
+    reproduce record for record."""
+
+    def __init__(self, capacity):
+        cap = 1
+        while cap < capacity:
+            cap <<= 1
+        self.capacity = cap
+        self.clear()
+
+    def rec(self, t, kind, a=None, b=None, c=None):
+        self.buf[self.n & (self.capacity - 1)] = (t, self.n, kind, a, b, c)
+        self.n += 1
+
+    def records(self):
+        lo = max(0, self.n - self.capacity)
+        return [self.buf[i & (self.capacity - 1)]
+                for i in range(lo, self.n)]
+
+    def snapshot(self):
+        return {"capacity": self.capacity, "appended": self.n,
+                "dropped": max(0, self.n - self.capacity),
+                "peak": min(self.n, self.capacity),
+                "records": [list(r) for r in self.records()]}
+
+    def clear(self):
+        self.buf = [None] * self.capacity
+        self.n = 0
+
+
+_slot = st.one_of(st.none(), st.integers(-2**40, 2**40),
+                  st.text(max_size=6),
+                  st.tuples(st.text(max_size=3), st.integers(0, 9)))
+_rec = st.tuples(st.floats(0.0, 1e6), st.sampled_from(["send", "event"]),
+                 _slot, _slot, _slot)
+
+
+# Small capacities (rounded up to 1..16) so most record lists wrap.
+@given(st.integers(1, 12), st.lists(_rec, max_size=80), st.integers(0, 80))
+def test_columnar_ring_matches_tuple_ring(capacity, recs, clear_at):
+    ring, ref = FlightRecorder(capacity), _TupleRing(capacity)
+    assert ring.capacity == ref.capacity
+    for k, rec in enumerate(recs):
+        if k == clear_at:
+            ring.clear()
+            ref.clear()
+            assert ring.records() == [] and ring.appended == 0
+        ring.rec(*rec)
+        ref.rec(*rec)
+        assert ring.peak == len(ring) == ref.snapshot()["peak"]
+        assert ring.dropped == ref.snapshot()["dropped"]
+    assert ring.records() == ref.records()
+    assert json.dumps(ring.snapshot()) == json.dumps(ref.snapshot())
 
 
 # ----------------------------------------------------------------------

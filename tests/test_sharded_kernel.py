@@ -97,6 +97,14 @@ class TestDeliveryHoming:
         assert len(sim._heaps[1]) == 0
 
 
+def test_run_until_keeps_clock_a_float():
+    for horizon in (5, 20):    # stops on a later event / drains first
+        sim = ShardedSimulation(nshards=2, lookahead=1.0)
+        sim.timeout(10.0)
+        sim.run(until=horizon)
+        assert type(sim.now) is float and sim.now == float(horizon)
+
+
 # -- kernel-level burst/merged equivalence ------------------------------
 
 def _pingpong(sim, log, rounds=20, gap=1.5):

@@ -300,6 +300,15 @@ class TestSimulationLoop:
         sim.run()
         assert fired and sim.now == 10.0
 
+    def test_run_until_keeps_clock_a_float(self, sim):
+        # An int horizon must not leak into sim.now (flight records
+        # and every time derived from the clock would print as ints).
+        sim.timeout(10.0)
+        sim.run(until=5)
+        assert type(sim.now) is float and sim.now == 5.0
+        sim.run(until=20)           # heap drains before the horizon
+        assert type(sim.now) is float and sim.now == 20.0
+
     def test_simultaneous_events_run_in_schedule_order(self, sim):
         order = []
         for i in range(10):

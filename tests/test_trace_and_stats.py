@@ -1,9 +1,11 @@
 """Tests for statistics collection, tracing, and KAP result handling."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.sim.trace import StatSeries, Summary, Tracer
 from repro.kap.config import KapConfig
@@ -44,6 +46,26 @@ class TestStatSeries:
         with pytest.raises(ValueError):
             StatSeries("empty").summary()
 
+    def test_empty_max_raises(self):
+        with pytest.raises(ValueError):
+            StatSeries("empty").max()
+
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])),
+        min_size=1, max_size=40))
+    def test_max_is_numpy_max_bit_for_bit(self, values):
+        s = StatSeries()
+        s.extend(values)
+        ref = float(np.max(np.asarray(values, dtype=np.float64)))
+        got = s.max()
+        assert type(got) is float
+        if math.isnan(ref):
+            assert math.isnan(got)
+        else:
+            assert got == ref
+            assert math.copysign(1.0, got) == math.copysign(1.0, ref)
+
     def test_summary_as_dict(self):
         s = StatSeries()
         s.add(5.0)
@@ -76,6 +98,15 @@ class TestTracer:
         records = t.records()
         assert len(records) == 5
         assert records[0][2] == 15
+
+    def test_capacity_keeps_newest_in_order(self):
+        for cap in (0, 1, 7):
+            t = Tracer(capacity=cap)
+            for i in range(30):
+                t.record(float(i), "e", i)
+            assert t.records() == [(float(i), "e", i)
+                                   for i in range(30 - cap, 30)]
+            assert type(t.records()) is list
 
     def test_disabled_tracer_drops(self):
         t = Tracer()
