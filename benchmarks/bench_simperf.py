@@ -72,7 +72,7 @@ FLAT_SCALING_MIN_RATIO = 0.7
 #: mode.  Any change to these is an event-stream change and
 #: must be deliberate.
 GOLDEN_KAP_256 = "52654cf1c7ec6e222120c2123f5d6763dbdc9834"
-GOLDEN_CHAOS_15 = "aab95fab6805f380726e1e083f4889f731cb2654"
+GOLDEN_CHAOS_15 = "88a7b6b82a4f9384d692966467af4b8ce9f4f39f"
 
 #: Pre-optimization reference on the development box (commit 82f684f,
 #: 1024-producer config below): 51.9k events/s.  Recorded in the JSON

@@ -61,8 +61,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Optional
 
-from ..cmb.errors import (EEXIST, EHOSTUNREACH, EINVAL, EIO, ENOENT,
-                          RETRYABLE_CODES)
+from ..cmb.errors import (EAGAIN, EEXIST, EHOSTUNREACH, EINVAL, EIO,
+                          ENOENT, RETRYABLE_CODES)
 from ..cmb.message import (HEADER_BYTES, Message, MessageType,
                            RequestContext)
 from ..cmb.module import CommsModule, request_handler
@@ -72,6 +72,7 @@ from ..jsonutil import (canonical_size, digest_and_size, intern_fragment,
 from .cache import SlaveCache
 from .hashtree import KvsPathError, lookup_ref, split_key
 from .master import CommitRecord, KvsMaster
+from .shares import advance_marks, merge_deltas, take_deltas
 from .store import (EMPTY_DIR_SHA, dir_entries, is_dir_obj, is_link_obj,
                     link_of, make_link_obj, make_val_obj, val_of)
 
@@ -109,17 +110,25 @@ class _FenceAgg:
     ``shares`` drives the *idempotent* wire mode used while a fault
     plan is installed (lossy fabric): ``shares[origin]`` is the
     ``[count, ops]`` cumulative contribution of rank ``origin``'s own
-    clients, merged monotonically (larger count wins) like a G-counter.
-    Re-emitting the full merged map is always safe — duplicates and
-    arbitrary re-orderings cannot double-count — so lost messages are
-    repaired by simply re-sending on every heartbeat pulse, with no
-    epoch bookkeeping that could itself be lost.
+    clients -- an append-only log, merged monotonically (larger count
+    wins) like a G-counter.  A flush ships each origin as a *delta*
+    ``[count, base, ops[base:]]`` against what the outgoing link was
+    already sent; ``total_seen`` is then the running sum of the held
+    counts.  ``sent``/``acked`` map origin -> ``(count, len(ops))``
+    watermarks of the link ``link`` (parent rank, master rank,
+    failed-over flag): a flush advances ``sent``, a successful
+    response ``acked``.  Both reset when the link changes or an
+    overlay failure re-routes fences, forcing a full resend; the
+    heartbeat anti-entropy rewinds ``sent`` to ``acked``, so it
+    re-ships exactly the unacknowledged suffix.  Duplicates and
+    re-orderings cannot double-count, and no epoch bookkeeping that
+    could itself be lost is needed.
     """
 
     __slots__ = ("name", "nprocs", "count", "ops", "objs", "held",
                  "total_seen", "timer_armed", "local_count", "local_ops",
                  "local_objs", "created_version", "shares", "completing",
-                 "span", "ops_size", "objs_size")
+                 "span", "ops_size", "objs_size", "link", "sent", "acked")
 
     def __init__(self, name: str, nprocs: int, created_version: int = 0):
         self.name = name
@@ -146,6 +155,9 @@ class _FenceAgg:
         self.local_objs: dict[str, dict] = {}
         self.created_version = created_version
         self.shares: dict[int, list] = {}
+        self.link: Optional[tuple] = None
+        self.sent: dict[int, tuple[int, int]] = {}
+        self.acked: dict[int, tuple[int, int]] = {}
         self.completing = False
         #: Tracing context of the latest contribution folded in: the
         #: upstream flush (and the completing setroot publish) parent
@@ -473,11 +485,13 @@ class KvsModule(CommsModule):
                 and (self.master_rank == 0 or self._failed_over)
                 and (self.broker.parent is not None or self._failed_over)):
             self._resync_root()
-            # Anti-entropy for in-progress fences too: re-emitting the
-            # cumulative shares map is idempotent, so a pulse-period
-            # re-send repairs any contribution lost on a lossy link.
-            for name in list(self._fences):
-                self._flush_fence(name)
+            # Anti-entropy for in-progress fences too: rewind each
+            # link to what its receiver acknowledged and re-ship the
+            # rest (an idempotent merge), repairing any contribution
+            # lost on a lossy link.  Fully acked fences send nothing.
+            for agg in list(self._fences.values()):
+                agg.sent = dict(agg.acked)
+                self._flush_fence_shared(agg)
         if self.replicas:
             # Replication re-drives (idempotent: streaming re-sends the
             # unacked log suffix, elections re-circulate tokens).  All
@@ -1685,8 +1699,9 @@ class KvsModule(CommsModule):
 
         Two wire formats share this topic: the legacy *incremental*
         one (``count``/``ops`` deltas, used on a loss-free fabric) and
-        the idempotent *shares* one (full per-origin cumulative map,
-        used while a fault plan is installed — see ``_FenceAgg``).
+        the idempotent *shares* one (per-origin ``[count, base,
+        ops[base:]]`` deltas against the link's watermarks, used while
+        a fault plan is installed — see ``_FenceAgg``).
         """
         p = msg.payload
         if "shares" in p:
@@ -1739,22 +1754,24 @@ class KvsModule(CommsModule):
             self.respond(msg, {})
             return
         agg = self._fence_for(name, p["nprocs"])
+        grown = merge_deltas(agg.shares, p["shares"], skip=self.rank)
+        if grown is None:
+            # A delta starts past what we hold (an earlier one was
+            # lost, or we lost state): nothing was merged; the sender
+            # rewinds this link and resends in full.
+            self.respond(msg, error="fence share base beyond held prefix",
+                         code=EAGAIN)
+            return
         if msg.span is not None:
             agg.span = msg.span
-        changed = False
-        for origin_s, share in p["shares"].items():
-            origin = int(origin_s)
-            if origin == self.rank:
-                continue            # our own share is authoritative here
-            cur = agg.shares.get(origin)
-            if cur is None or share[0] > cur[0]:
-                agg.shares[origin] = [share[0], list(share[1])]
-                changed = True
-        self._obj_put_many(p["objs"])
-        self._fence_add_objs(agg, p["objs"])
+        agg.total_seen += grown
+        objs = p["objs"]
+        if objs:
+            self._obj_put_many(objs)
+            self._fence_add_objs(agg, objs)
         self.respond(msg, {})
-        if changed:
-            self._flush_fence(agg.name)
+        if grown:
+            self._maybe_flush_fence(agg)
 
     def _shared_mode(self) -> bool:
         """True while a fault plan is installed: fence traffic then
@@ -1768,14 +1785,17 @@ class KvsModule(CommsModule):
         aggregation window, so fences joined by only a subset of the
         subtree's clients (e.g. two jobs sharing a session) still make
         progress."""
+        complete = agg.total_seen >= min(
+            self.broker.session.subtree_procs(self.rank), agg.nprocs)
         if self._shared_mode():
-            self._flush_fence(agg.name)
-            return
-        expected = self.broker.session.subtree_procs(self.rank)
-        if self.master_rank == 0 and agg.total_seen >= min(expected,
-                                                           agg.nprocs):
+            # Shares coalesce per subtree too; the master judges
+            # completion on every contribution.
+            flush = complete or self.master is not None
+        else:
             # Fast path (master at the root, whole session fencing):
             # the root-ward aggregation matches the subtree counts.
+            flush = complete and self.master_rank == 0
+        if flush:
             self._flush_fence(agg.name)
         elif not agg.timer_armed:
             agg.timer_armed = True
@@ -1849,37 +1869,62 @@ class KvsModule(CommsModule):
         # Held client fences answer when the fence's setroot arrives.
 
     def _flush_fence_shared(self, agg: _FenceAgg) -> None:
-        """Shares-mode flush: send (or, at the master, evaluate) the
-        full merged per-origin map.  Nothing is cleared — the map is
-        cumulative, so this is safe to call arbitrarily often."""
+        """Shares-mode flush: at the master, evaluate completion;
+        elsewhere, ship every origin whose count is past the link's
+        ``sent`` watermark as ``[count, base, ops[base:]]`` plus the
+        objects those ops reference.  Nothing new, nothing sent."""
         if agg.local_count > 0:
-            agg.shares[self.rank] = [agg.local_count,
-                                     list(agg.local_ops)]
-        if not agg.shares:
-            return
+            # Our own share aliases the append-only ``local_ops``; its
+            # count is refreshed here, before every read of the map.
+            agg.shares[self.rank] = [agg.local_count, agg.local_ops]
         if self.master is not None:
             self._maybe_complete_shared(agg)
             return
-        objs = {**agg.objs, **agg.local_objs}
+        link = (self.broker.parent, self.master_rank, self._failed_over)
+        if agg.link != link:
+            agg.link, agg.sent, agg.acked = link, {}, {}
+        deltas, marks = take_deltas(agg.shares, agg.sent)
+        if not deltas:
+            return
+        have = agg.objs
+        objs: dict[str, dict] = {}
+        for _count, _base, ops in deltas.values():
+            for _key, sha in ops:
+                obj = have.get(sha) if sha is not None else None
+                if obj is not None:
+                    objs[sha] = obj
         payload = {"name": agg.name, "nprocs": agg.nprocs,
-                   "shares": {str(o): [s[0], s[1]]
-                              for o, s in agg.shares.items()}}
+                   "shares": deltas}
         self._send_objs(f"{self.name}.fencedata", payload, objs,
-                        lambda resp: None, span=agg.span)
+                        lambda resp: self._shares_acked(agg, link, marks,
+                                                        resp),
+                        span=agg.span)
+
+    def _shares_acked(self, agg: _FenceAgg, link: tuple,
+                      marks: dict, resp: Message) -> None:
+        """A shares flush was answered: advance the link's ``acked``
+        watermarks, or — when the receiver lacked a delta's base —
+        rewind the link to zero and resend in full.  Other failures
+        are left to the heartbeat anti-entropy."""
+        if self._fences.get(agg.name) is not agg or agg.link != link:
+            return
+        if resp.error is None:
+            advance_marks(agg.acked, marks)
+        elif resp.errnum == EAGAIN:
+            agg.sent, agg.acked = {}, {}
+            self._flush_fence_shared(agg)
 
     def _maybe_complete_shared(self, agg: _FenceAgg) -> None:
         """Commit a shares-mode fence once every participant's share
-        has arrived (counts are disjoint per origin, so the sum is
-        exact no matter how often shares were re-sent)."""
-        if agg.completing:
-            return
-        if sum(s[0] for s in agg.shares.values()) < agg.nprocs:
+        has arrived (counts are disjoint per origin, so the running
+        total is exact no matter how often shares were re-sent)."""
+        if agg.completing or agg.total_seen < agg.nprocs:
             return
         agg.completing = True
         ops = []
         for origin in sorted(agg.shares):
             ops.extend((k, s) for k, s in agg.shares[origin][1])
-        objs = {**agg.objs, **agg.local_objs}
+        objs = dict(agg.objs)
         groups: dict = {}
         if self.owners:
             ops, objs, groups = self._partition_ops(ops, objs)
@@ -1958,9 +2003,10 @@ class KvsModule(CommsModule):
         ``live.down`` before the live module did, so the broker has not
         re-wired around the corpse yet when we run.
 
-        In shares mode (fault plan installed) there is nothing to
-        reset: the merged per-origin map is idempotent, so recovery is
-        simply "re-send everything over the healed route".
+        In shares mode (fault plan installed) there is no epoch: the
+        per-origin merge is idempotent, so recovery is "forget the
+        links' acked watermarks and resend in full over the healed
+        route" (:meth:`_recover_shared`).
         """
         dead = msg.payload.get("rank")
         if dead == self.master_rank and self.master is None:
@@ -1982,8 +2028,11 @@ class KvsModule(CommsModule):
         self.broker.after(0.0, self._recover_after_down)
 
     def _recover_shared(self) -> None:
-        for name in list(self._fences):
-            self._flush_fence(name)
+        """Shares-mode recovery: forget every link's watermarks and
+        resend each fence in full over the healed route."""
+        for agg in list(self._fences.values()):
+            agg.link = None
+            self._flush_fence_shared(agg)
         if self.master is None and (self.master_rank == 0
                                     or self._failed_over):
             self._resync_root()
@@ -2048,7 +2097,11 @@ class KvsModule(CommsModule):
             self._local_setroot_event(p["version"], p["rootref"])
         for name in sorted(p.get("completed", {})):
             ver, root = p["completed"][name]
-            self._record_completed(name, ver, root)
+            if self._completed.get(name) != (ver, root):
+                # Only news is recorded: re-recording a held entry on
+                # every pulse would log a flight record and touch the
+                # LRU for nothing.
+                self._record_completed(name, ver, root)
             agg = self._fences.get(name)
             if agg is not None and ver > agg.created_version:
                 # We missed this fence's completion notice: replay it.

@@ -298,6 +298,23 @@ def test_chaos_loss_and_interior_kill_converges():
     assert report.reads_verified == 16 * 3   # 2 fences + 1 commit each
 
 
+def test_chaos_kill_127_nodes_fence_converges():
+    """127 brokers under 1% loss, interior rank 5 killed at 50 ms in
+    the middle of four back-to-back fences.  With the full-map shares
+    fence this seed stranded fence ``chaos.f3`` at 2 of 128
+    contributions (doctor: lost-fence-ack); the delta fence must
+    converge with every write readable."""
+    report = run_chaos_workload(n_nodes=127, n_clients=128,
+                                seed=1184437423, fault_seed=1184437423,
+                                drop_rate=0.01, kill_ranks=(5,),
+                                kill_at=0.05, n_iters=4, iter_gap=0.05,
+                                run_until=10.0)
+    assert report.converged, report.errors
+    assert report.hung_waiters == 0
+    assert report.reads_failed == 0
+    assert report.reads_verified == 128 * 5   # 4 fences + 1 commit each
+
+
 def test_chaos_dup_and_delay_converges():
     """Duplication and delay injection (no loss, no kill) converge with
     zero verification failures and no retry storms."""

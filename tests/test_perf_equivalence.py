@@ -54,10 +54,15 @@ GOLDEN_KAP = {
     ),
 }
 
+#: Re-pinned once when the lossy-fabric fence moved from re-sending
+#: full per-origin shares on every contribution to per-subtree flushes
+#: of per-origin deltas against acked watermarks (fewer, smaller
+#: ``kvs.fencedata`` messages, so a different event stream).  The KAP
+#: goldens above run on a clean fabric and did not move.
 GOLDEN_CHAOS = dict(
-    fingerprint="aab95fab6805f380726e1e083f4889f731cb2654",
+    fingerprint="88a7b6b82a4f9384d692966467af4b8ce9f4f39f",
     converged=True, reads_verified=16,
-    makespan=0.00015684556249999991)
+    makespan=0.00015397837499999992)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_KAP))
