@@ -50,24 +50,18 @@ def run_metadata() -> dict:
     }
 
 
-def write_table(name: str, text: str, data=None, meta=None) -> None:
+def write_table(name: str, text: str, data=None) -> None:
     """Persist a regenerated figure table and echo it to stdout.
 
     Alongside the human-readable ``out/<name>.txt``, always writes
     machine-readable ``out/BENCH_<name>.json``: run metadata, the
     table's lines, and — when the bench passes ``data`` — its raw
     series/rows (JSON-serializable; int dict keys become strings).
-
-    ``meta`` overrides/extends :func:`run_metadata` keys — benches
-    whose sweep dimensions differ from the shared figure sweeps (e.g.
-    simperf's fixed 16 procs/node) must pass their real dimensions so
-    the document's meta block describes *this* bench, not the default
-    figure configuration.
     """
     OUT_DIR.mkdir(exist_ok=True)
     path = OUT_DIR / f"{name}.txt"
     path.write_text(text + "\n")
-    doc = {"name": name, "meta": {**run_metadata(), **(meta or {})},
+    doc = {"name": name, "meta": run_metadata(),
            "table": text.splitlines()}
     if data is not None:
         doc["data"] = data

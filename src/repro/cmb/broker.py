@@ -203,8 +203,8 @@ class Broker:
         self.flight = FlightRecorder(session.flight_capacity)
         self._frec = self.flight.rec
         #: Per-plane payload-byte attribution (tree vs event vs ring),
-        #: feeding the ROADMAP fence-payload investigation via
-        #: ``CommsSession.plane_bytes()`` and ``bench_simperf``.
+        #: read through ``CommsSession.plane_bytes()``/``level_bytes()``
+        #: (perfbench's ``net.bytes.*`` metrics).
         self.plane_bytes: dict[str, int] = {}
         #: Peak inbox depth since last health-plane sample (the health
         #: module reads and resets this; one compare on the hot path).

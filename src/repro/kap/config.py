@@ -57,11 +57,6 @@ class KapConfig:
         Fan-out of the comms tree (paper fixes binary = 2).
     seed:
         Simulation seed (determinism).
-    shards:
-        Event-loop shards (``>1`` runs the KAP on a
-        :class:`~repro.sim.shard.ShardedSimulation` with per-subtree
-        sub-kernels under the conservative lookahead barrier).  1 (the
-        default) keeps the classic single-heap kernel.
     """
 
     nnodes: int = 64
@@ -77,13 +72,10 @@ class KapConfig:
     sync: str = "fence"
     tree_arity: int = 2
     seed: int = 0
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.nnodes < 1 or self.procs_per_node < 1:
             raise ValueError("need at least one node and one proc")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
         if self.sync not in ("fence", "commit_wait"):
             raise ValueError(f"unknown sync primitive {self.sync!r}")
         if self.dir_width is not None and self.dir_width < 1:

@@ -15,7 +15,9 @@ from repro.jsonutil import (canonical_dumps, canonical_size,
                             set_interning)
 from repro.kap import KapConfig, run_kap
 
-GOLDEN_KAP_256 = "52654cf1c7ec6e222120c2123f5d6763dbdc9834"
+from .test_perf_equivalence import GOLDEN_KAP
+
+PAPER16_CFG, PAPER16 = GOLDEN_KAP["paper16"]
 
 
 @pytest.fixture(autouse=True)
@@ -111,15 +113,14 @@ def test_intern_table_is_bounded():
 def test_fingerprint_identical_with_interning_off():
     """Interning is host-side memoization only: disabling it must not
     move a single event (golden SAN105 fingerprint both ways)."""
-    cfg = dict(nnodes=16, procs_per_node=16, value_size=64, seed=1)
-    on = run_kap(KapConfig(**cfg), sanitize=True)
-    assert on.event_fingerprint == GOLDEN_KAP_256
+    on = run_kap(KapConfig(**PAPER16_CFG), sanitize=True)
+    assert on.event_fingerprint == PAPER16["fingerprint"]
     set_interning(False)
     try:
-        off = run_kap(KapConfig(**cfg), sanitize=True)
+        off = run_kap(KapConfig(**PAPER16_CFG), sanitize=True)
     finally:
         set_interning(True)
-    assert off.event_fingerprint == GOLDEN_KAP_256
+    assert off.event_fingerprint == PAPER16["fingerprint"]
     assert off.events == on.events
     assert off.bytes_sent == on.bytes_sent
     assert off.total_time == on.total_time

@@ -52,6 +52,19 @@ GOLDEN_KAP = {
              consumer=3.718991666666681e-05,
              total_time=0.0011213096458333493),
     ),
+    # The paper-default point (Section V: 16 procs per node, 64 B
+    # values) at 16 nodes, which test_payload_interning.py also runs.
+    # Read at commit e9d6fe6, where this fingerprint was already pinned
+    # by that test and by the simulator-throughput bench.
+    "paper16": (
+        dict(nnodes=16, procs_per_node=16, value_size=64, seed=1),
+        dict(fingerprint="52654cf1c7ec6e222120c2123f5d6763dbdc9834",
+             events=5235, bytes_sent=312266,
+             producer=8.04733333333336e-06,
+             sync=5.576454166666636e-05,
+             consumer=4.5056979166666555e-05,
+             total_time=0.0003515326666666667),
+    ),
 }
 
 #: Re-pinned once when the lossy-fabric fence moved from re-sending
