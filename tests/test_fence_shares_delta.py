@@ -5,7 +5,8 @@ Two checks:
 - a Hypothesis property test drives the real delta/merge/ack helpers
   (:mod:`repro.kvs.shares`) over a small fence tree whose links drop,
   duplicate and reorder flushes and responses, reset their watermarks,
-  and whose relay can lose its state.  Every held share must always
+  and whose relay can lose its state (which every rank then hears
+  of, as on ``live.down``).  Every held share must always
   be a true prefix of its origin's contribution log, and after the
   heartbeat anti-entropy settles, the master must hold every log in
   full and commit each op exactly once;
@@ -118,6 +119,15 @@ class _Fabric:
             node.sent, node.acked = {}, {}
             self.flush(src)
 
+    def lose_state(self, o: int) -> None:
+        """Rank ``o`` restarts empty.  As on ``live.down`` in shares
+        mode, every rank then forgets its link's watermarks and
+        resends in full: acks the lost rank gave are void."""
+        self.nodes[o].lose_state()
+        for p in PARENT:
+            self.nodes[p].reset_link()
+            self.flush(p)
+
     def pulse(self) -> None:
         """Heartbeat anti-entropy: rewind every link to its acks."""
         for o in PARENT:
@@ -182,7 +192,7 @@ def test_deltas_converge_exactly_once_under_faults(sizes, steps):
         elif kind == "reset":
             nodes[o].reset_link()
         elif kind == "lose_state" and o == 1:
-            nodes[1].lose_state()   # only the relay: the master commits
+            fab.lose_state(1)       # only the relay: the master commits
         elif kind == "pulse":
             fab.pulse()
         fab.check_prefixes()
